@@ -3,7 +3,7 @@
 from .config import (ConfigError, FaultSpec, ParseError, RadioParams, SimConfig,
                      load_config, validate_config)
 from .engine import (PROTOCOLS, CycleStats, SimMetrics, Simulation,
-                     extract_milestones, run_baseline, run_simulation)
+                     extract_milestones, run_simulation)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "euclidean_distance",
     "extract_milestones",
     "load_config",
-    "run_baseline",
     "run_simulation",
     "validate_config",
 ]

@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .config import (ConfigError, ParseError, SimConfig, config_from_dict,
                      validate_config)
@@ -125,8 +126,20 @@ def _run_one(job: tuple[SimConfig, str, int, bool, bool]):
     return metrics, trust_text, route_text
 
 
+def _attempt(run):
+    """Call ``run``; return (its result, None), or (None, the exception it raised)."""
+    try:
+        return run(), None
+    except Exception as exc:  # noqa: BLE001 - reported per job by the caller
+        return None, exc
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Run every protocol x replicate, write outputs, return an exit code."""
+    """Run every protocol x replicate, write outputs, return an exit code.
+
+    A failed replicate is named on stderr and the others still write their
+    files; summary.json is then left out and the exit code is 2.
+    """
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
         probe = os.path.join(spec.out_dir, ".write_probe")
@@ -145,21 +158,24 @@ def run_experiment(spec: ExperimentSpec) -> int:
         for seed in spec.seeds
     ]
 
-    try:
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                outcomes = list(pool.map(_run_one, jobs))
-        else:
-            outcomes = [_run_one(job) for job in jobs]
-    except Exception as exc:  # noqa: BLE001 - report the first failed run
-        job = jobs[0]
-        print(f"error: run failed ({job[1]}, seed {job[2]}): {exc}", file=sys.stderr)
-        return 2
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            futures = [pool.submit(_run_one, job) for job in jobs]
+            outcomes = [_attempt(future.result) for future in futures]
+    else:
+        outcomes = [_attempt(partial(_run_one, job)) for job in jobs]
 
+    failed = False
     results: dict[str, list[SimMetrics]] = {p: [] for p in spec.protocols}
     try:
-        for job, (metrics, trust_text, route_text) in zip(jobs, outcomes):
+        for job, (artifacts, exc) in zip(jobs, outcomes):
             _, protocol, seed, _, _ = job
+            if exc is not None:
+                failed = True
+                print(f"error: run failed ({protocol}, seed {seed}): "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                continue
+            metrics, trust_text, route_text = artifacts
             rep_idx = spec.seeds.index(seed)
             results[protocol].append(metrics)
             stem = os.path.join(spec.out_dir, f"{protocol}_rep{rep_idx}")
@@ -172,6 +188,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
             if route_text is not None:
                 with open(f"{stem}_routes.txt", "w", encoding="utf-8", newline="") as fh:
                     fh.write(route_text)
+        if failed:
+            # a summary over the surviving replicates would pass for the full grid
+            return 2
         if "summary" in spec.emit:
             path = os.path.join(spec.out_dir, "summary.json")
             with open(path, "w", encoding="utf-8", newline="") as fh:

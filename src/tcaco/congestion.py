@@ -21,26 +21,20 @@ class InsufficientHistory(ValueError):
 
 
 class NodeQueue:
-    """FIFO packet buffer with a hard capacity.
+    """FIFO packet buffer with a hard capacity."""
 
-    The base station and the traffic source use ``unbounded=True``: the
-    sink absorbs instantly and the source's application buffer is not a
-    radio buffer, so neither models overflow.
-    """
+    __slots__ = ("capacity", "entries")
 
-    __slots__ = ("capacity", "entries", "unbounded")
-
-    def __init__(self, capacity: int, unbounded: bool = False):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.entries: deque[Packet] = deque()
-        self.unbounded = unbounded
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def full(self) -> bool:
-        return not self.unbounded and len(self.entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     def free_space(self) -> int:
         return max(0, self.capacity - len(self.entries))

@@ -1,4 +1,4 @@
-"""First-order radio energy accounting and the transmission-threshold gate.
+"""First-order radio energy accounting.
 
 Transmitting ``bits`` over distance ``d`` costs e_elec*bits for the
 electronics plus eps_fs*bits*d^2 for the free-space amplifier; receiving
@@ -7,7 +7,7 @@ costs the electronics term alone.
 
 from __future__ import annotations
 
-from .config import RadioParams, SimConfig
+from .config import RadioParams
 from .model import NodeState
 
 
@@ -17,11 +17,6 @@ def tx_cost(bits: int, d: float, params: RadioParams) -> float:
 
 def rx_cost(bits: int, params: RadioParams) -> float:
     return params.e_elec * bits
-
-
-def can_transmit(node: NodeState, cfg: SimConfig) -> bool:
-    """True iff the node holds at least the threshold energy (boundary included)."""
-    return node.energy >= cfg.energy_threshold
 
 
 def debit(node: NodeState, amount: float) -> NodeState:

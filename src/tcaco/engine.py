@@ -24,7 +24,7 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels,
                       rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
-from .trust import MALICIOUS_NODE, TRUSTED_NODE, TrustStats
+from .trust import MALICIOUS_NODE, TRUSTED_NODE, TrustStats, classify, node_trust
 
 
 class SourceDead(RuntimeError):
@@ -157,8 +157,7 @@ class Simulation:
         self.fixed_source = self._pick_fixed_source(positions)
         self.faults = self._assign_faults()
         self.nodes = [
-            NodeState(i, positions[i], cfg.initial_energy, cfg.energy_threshold,
-                      behavior=self.faults.get(i))
+            NodeState(i, positions[i], cfg.initial_energy, cfg.energy_threshold)
             for i in range(n)
         ]
         self.queues = [NodeQueue(cfg.queue_capacity) for _ in range(n)]
@@ -181,7 +180,6 @@ class Simulation:
         self.flow = FlowHistory(n, window=cfg.congestion_window)
 
         self.cycle = 0
-        self.packets: list[Packet] = []
         self._next_pid = 0
         self.levels: Optional[LevelAssignment] = None
         self._levels_source: Optional[int] = None
@@ -244,7 +242,6 @@ class Simulation:
     def _new_packet(self, origin: int, fake: bool = False) -> Packet:
         p = Packet(self._next_pid, origin, self.cycle, fake=fake)
         self._next_pid += 1
-        self.packets.append(p)
         self._gen += 1
         return p
 
@@ -447,80 +444,30 @@ class Simulation:
                 if self.log_routes:
                     self.route_log.append((self.cycle, p))
 
-    def _recompute_trust(self) -> None:
+    def trust_rows(self):
+        """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
+        from the current evidence, energies and levels."""
         cfg = self.cfg
         n = cfg.node_count
-        e_init = cfg.initial_energy
-        a1, a2, a3 = cfg.a1, cfg.a2, cfg.a3
-        weight_sum = a1 + a2 + a3
-        polarity = cfg.latency_polarity
-        reference = float(cfg.wc_max)
-        levels = self.levels.levels if self.levels is not None else (None,) * n
-        bs_level = self.levels.bs_level if self.levels is not None else None
-        stats = self.stats
-        table = self.trust_table
+        if self.levels is None:
+            levels = [None] * (n + 1)
+        else:
+            levels = [*self.levels.levels, self.levels.bs_level]
         energies = [node.energy for node in self.nodes]
-
+        energies.append(cfg.initial_energy)   # the sink is energy-unbounded
+        adjacency = self.topology.adjacency
         for i in range(n):
-            neighbors = self.topology.adjacency[i]
-            # mean latencies of i's neighbors bucketed by level, for peer scores
-            group_sum: dict = {}
-            group_cnt: dict = {}
-            means = {}
-            for j in neighbors:
-                lvl = bs_level if j == self.bs else levels[j]
-                m = stats.link(i, j).mean_latency()
-                means[j] = (lvl, m)
-                if m is not None:
-                    group_sum[lvl] = group_sum.get(lvl, 0.0) + m
-                    group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
-            e_i = energies[i]
-            for j in neighbors:
-                e_j = e_init if j == self.bs else energies[j]
-                ne = ((e_i + e_j) / 2.0) / e_init
-                link = stats.link(i, j)
-                ptr = (link.acks_received / link.packets_sent
-                       if link.packets_sent else 1.0)
-                lvl, m_j = means[j]
-                cnt = group_cnt.get(lvl, 0) - (1 if m_j is not None else 0)
-                if m_j is None:
-                    pl = 1.0
-                elif polarity != "literal" and m_j == math.inf:
-                    pl = 0.0
-                else:
-                    if cnt > 0:
-                        mean_others = (group_sum[lvl] - m_j) / cnt
-                    else:
-                        mean_others = reference
-                    if polarity == "literal":
-                        if m_j == math.inf or mean_others == 0.0:
-                            pl = 1.0
-                        else:
-                            pl = min(1.0, max(0.0, m_j / mean_others))
-                    elif m_j == 0.0:
-                        pl = 1.0
-                    else:
-                        pl = min(1.0, mean_others / m_j)
-                table[(i, j)] = (a1 * ne + a2 * ptr + a3 * pl) / weight_sum
+            yield i, node_trust(self.stats, i, adjacency[i], levels, energies,
+                                cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
+                                cfg.latency_polarity, float(cfg.wc_max))
 
-        # Operational node classification: verdicts from senders with actual
-        # interaction evidence override the optimistic bootstrap, so one
-        # sender's bad experience removes a node from everyone's candidate
-        # sets instead of each sender having to learn it separately.
-        evidenced = [False] * n
-        vouched = [False] * n
-        threshold = cfg.trust_threshold
-        for (i, j), value in table.items():
-            if j == self.bs:
-                continue
-            if stats.link(i, j).packets_sent > 0:
-                evidenced[j] = True
-                if value > threshold:
-                    vouched[j] = True
-        self.node_class = {
-            j: (MALICIOUS_NODE if evidenced[j] and not vouched[j] else TRUSTED_NODE)
-            for j in range(n)
-        }
+    def _recompute_trust(self) -> None:
+        table = self.trust_table
+        for i, rows in self.trust_rows():
+            for j, _, _, _, t_ij in rows:
+                table[i, j] = t_ij
+        self.node_class = classify(table, self.stats, self.cfg.trust_threshold,
+                                   self.cfg.node_count)
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
@@ -638,8 +585,3 @@ def run_simulation(cfg: SimConfig, protocol: str = "tc_aco",
                    seed: Optional[int] = None) -> SimMetrics:
     return Simulation(cfg, protocol=protocol, seed=seed).run()
 
-
-def run_baseline(cfg: SimConfig, protocol: str,
-                 seed: Optional[int] = None) -> SimMetrics:
-    """Run one of the comparison pipelines over the shared machinery."""
-    return run_simulation(cfg, protocol=protocol, seed=seed)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 # Terminal packet fates; a packet leaves IN_FLIGHT exactly once.
 IN_FLIGHT = "in_flight"
@@ -65,18 +63,14 @@ class NodeState:
     receiving until its battery reaches zero.
     """
 
-    __slots__ = ("id", "position", "energy", "energy_threshold", "is_malicious",
-                 "behavior")
+    __slots__ = ("id", "position", "energy", "energy_threshold")
 
     def __init__(self, node_id: int, position: tuple[float, float],
-                 energy: float, energy_threshold: float,
-                 behavior: Optional[object] = None):
+                 energy: float, energy_threshold: float):
         self.id = node_id
         self.position = position
         self.energy = energy
         self.energy_threshold = energy_threshold
-        self.behavior = behavior
-        self.is_malicious = behavior is not None and getattr(behavior, "behavior", "honest") != "honest"
 
     @property
     def alive(self) -> bool:

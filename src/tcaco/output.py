@@ -12,8 +12,7 @@ import json
 from typing import Optional, Sequence
 
 from .engine import MILESTONE_PERCENTAGES, SimMetrics, Simulation
-from .trust import (TRUSTWORTHY, UNTRUSTED, compute_trust, latency_score,
-                    packet_transmission_ratio)
+from .trust import TRUSTWORTHY, UNTRUSTED
 
 CSV_HEADER = ("cycle,generated,delivered,dropped_overflow,dropped_timeout,"
               "dropped_malicious,dead_nodes,total_energy_j")
@@ -88,26 +87,18 @@ def summary_json_text(results: dict[str, list[SimMetrics]]) -> str:
 
 
 def trust_dump_text(sim: Simulation) -> str:
-    """Per-link trust components CSV for debugging: i,j,ne,ptr,pl,t_ij,classification."""
-    cfg = sim.cfg
+    """Per-link trust components CSV: i,j,ne,ptr,pl,t_ij,classification.
+
+    The rows are the ones the engine computes from the current evidence,
+    so for a run that recomputes trust every cycle they equal the values
+    it routed on next.
+    """
+    threshold = sim.cfg.trust_threshold
     lines = ["i,j,ne,ptr,pl,t_ij,classification"]
-    levels = sim.levels.levels if sim.levels is not None else (None,) * cfg.node_count
-    bs_level = sim.levels.bs_level if sim.levels is not None else None
-    for i, j in sim.links:
-        e_i = sim.nodes[i].energy
-        e_j = cfg.initial_energy if j == sim.bs else sim.nodes[j].energy
-        ne = ((e_i + e_j) / 2.0) / cfg.initial_energy
-        ptr = packet_transmission_ratio(sim.stats, i, j)
-        lvl_j = bs_level if j == sim.bs else levels[j]
-        peers = [
-            k for k in sim.topology.adjacency[i]
-            if k != j and (bs_level if k == sim.bs else levels[k]) == lvl_j
-        ]
-        pl = latency_score(sim.stats, i, j, peers, cfg.latency_polarity,
-                           reference=float(cfg.wc_max))
-        t_ij = compute_trust(ne, ptr, pl, cfg.a1, cfg.a2, cfg.a3)
-        cls = TRUSTWORTHY if t_ij > cfg.trust_threshold else UNTRUSTED
-        lines.append(f"{i},{j},{ne!r},{ptr!r},{pl!r},{t_ij!r},{cls}")
+    for i, rows in sim.trust_rows():
+        for j, ne, ptr, pl, t_ij in rows:
+            cls = TRUSTWORTHY if t_ij > threshold else UNTRUSTED
+            lines.append(f"{i},{j},{ne!r},{ptr!r},{pl!r},{t_ij!r},{cls}")
     return "\n".join(lines) + "\n"
 
 

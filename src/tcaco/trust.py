@@ -5,13 +5,18 @@ Trust of node i upon node j blends three observables, each normalized to
 of the link, and a latency score comparing j against i's other candidates.
 The blend is a weighted mean, so scaling all weights together changes
 nothing.
+
+``node_trust`` is the one production computation of the components and
+the blend, used by the engine and by the trust dump alike; ``classify``
+is the one node verdict. The per-link metric functions are references
+that tests compare ``node_trust`` against.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 TRUSTWORTHY = "trustworthy"
 UNTRUSTED = "untrusted"
@@ -26,24 +31,24 @@ class ZeroWeights(ValueError):
 class LinkStats:
     """Evidence accumulated for one directed link."""
 
-    __slots__ = ("packets_sent", "acks_received", "latency_samples", "latency_sum")
+    __slots__ = ("packets_sent", "acks_received", "latency_count", "latency_sum")
 
     def __init__(self):
         self.packets_sent = 0
         self.acks_received = 0
-        self.latency_samples: list[float] = []
+        self.latency_count = 0
         self.latency_sum = 0.0
 
     def add_latency(self, value: float) -> None:
         if value < 0:
             raise ValueError("latency samples must be non-negative")
-        self.latency_samples.append(value)
+        self.latency_count += 1
         self.latency_sum += value
 
     def mean_latency(self) -> float | None:
-        if not self.latency_samples:
+        if not self.latency_count:
             return None
-        return self.latency_sum / len(self.latency_samples)
+        return self.latency_sum / self.latency_count
 
 
 class TrustStats:
@@ -70,7 +75,11 @@ class TrustStats:
 
 
 def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:
-    """Acknowledged fraction of packets sent on i->j; 1.0 before any send."""
+    """Acknowledged fraction of packets sent on i->j; 1.0 before any send.
+
+    Per-link reference for the ``ptr`` column of ``node_trust``, kept for
+    the tests that compare the two.
+    """
     s = stats.link(i, j)
     if s.packets_sent == 0:
         return 1.0
@@ -90,6 +99,10 @@ def latency_score(stats: TrustStats, i: int, j: int, peers: Iterable[int],
     for the peer mean; with no reference the score is again neutral.
     An unbounded mean latency (transfers that never completed) scores 0
     outright: no peer comparison can redeem it.
+
+    Per-link reference for the ``pl`` column of ``node_trust``, which
+    computes the same score from per-level sums; kept for the tests that
+    compare the two.
     """
     lat_j = stats.link(i, j).mean_latency()
     if lat_j is None:
@@ -114,7 +127,11 @@ def latency_score(stats: TrustStats, i: int, j: int, peers: Iterable[int],
 
 
 def energy_metric(e_i: float, e_j: float, e_init: float) -> float:
-    """Average remaining energy of the pair, as a fraction of the initial charge."""
+    """Average remaining energy of the pair, as a fraction of the initial charge.
+
+    Per-link reference for the ``ne`` column of ``node_trust``, kept for
+    the tests that compare the two.
+    """
     if e_init <= 0:
         raise ValueError("initial energy must be positive")
     return ((e_i + e_j) / 2.0) / e_init
@@ -129,28 +146,74 @@ def compute_trust(ne: float, ptr: float, pl: float,
     return (a1 * ne + a2 * ptr + a3 * pl) / total
 
 
-def classify(trust_table: dict[tuple[int, int], float], t_th: float,
-             nodes: Iterable[int] | None = None):
-    """Split links into trustworthy/untrusted and nodes into trusted/malicious.
+def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
+               levels: Sequence, energies: Sequence[float], e_init: float,
+               a1: float, a2: float, a3: float, polarity: str,
+               reference: float) -> list[tuple[int, float, float, float, float]]:
+    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
 
-    A link is trustworthy only strictly above the threshold; a node with no
-    trustworthy incoming link is malicious and must not be routed through.
+    ``levels`` and ``energies`` are indexed by endpoint id, the sink
+    included. The latency score of j compares it against i's other
+    neighbors on j's level, as ``latency_score`` does: the mean latencies
+    are summed once per level and j's own term is taken back out.
     """
-    link_class = {
-        link: (TRUSTWORTHY if value > t_th else UNTRUSTED)
-        for link, value in trust_table.items()
+    links = [(j, stats.link(i, j)) for j in neighbors]
+    means = []
+    group_sum: dict = {}
+    group_cnt: dict = {}
+    for j, link in links:
+        m = link.mean_latency()
+        means.append(m)
+        if m is not None:
+            lvl = levels[j]
+            group_sum[lvl] = group_sum.get(lvl, 0.0) + m
+            group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
+    e_i = energies[i]
+    rows = []
+    for (j, link), m_j in zip(links, means):
+        ne = ((e_i + energies[j]) / 2.0) / e_init
+        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
+        if m_j is None:
+            pl = 1.0
+        elif polarity != "literal" and m_j == math.inf:
+            pl = 0.0
+        else:
+            lvl = levels[j]
+            cnt = group_cnt[lvl] - 1
+            mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else reference
+            if polarity == "literal":
+                if m_j == math.inf or mean_others == 0.0:
+                    pl = 1.0
+                else:
+                    pl = min(1.0, max(0.0, m_j / mean_others))
+            elif m_j == 0.0:
+                pl = 1.0
+            else:
+                pl = min(1.0, mean_others / m_j)
+        rows.append((j, ne, ptr, pl, compute_trust(ne, ptr, pl, a1, a2, a3)))
+    return rows
+
+
+def classify(trust_table: dict[tuple[int, int], float], stats: TrustStats,
+             t_th: float, node_count: int) -> dict[int, str]:
+    """Trusted/malicious verdict for nodes 0..node_count-1 (the sink, id
+    node_count, is never classified).
+
+    A link is trustworthy only strictly above the threshold. A node is
+    malicious when some sender has sent to it and no such sender's link to
+    it is trustworthy; a node nobody has sent to stays trusted, and one
+    vouching sender is enough. The verdict holds network-wide, so one
+    sender's bad experience removes a node from everyone's candidate sets
+    instead of each sender having to learn it separately.
+    """
+    evidenced = [False] * (node_count + 1)
+    vouched = [False] * (node_count + 1)
+    for (i, j), value in trust_table.items():
+        if stats.link(i, j).packets_sent:
+            evidenced[j] = True
+            if value > t_th:
+                vouched[j] = True
+    return {
+        j: (MALICIOUS_NODE if evidenced[j] and not vouched[j] else TRUSTED_NODE)
+        for j in range(node_count)
     }
-    if nodes is None:
-        seen: set[int] = set()
-        for i, j in trust_table:
-            seen.add(i)
-            seen.add(j)
-        nodes = sorted(seen)
-    has_trustworthy_in: set[int] = {
-        j for (i, j), cls in link_class.items() if cls == TRUSTWORTHY
-    }
-    node_class = {
-        n: (TRUSTED_NODE if n in has_trustworthy_in else MALICIOUS_NODE)
-        for n in nodes
-    }
-    return link_class, node_class

@@ -1,14 +1,19 @@
 """Experiment loading, output emission, exit codes, and format freezes."""
 
 import json
+import os
+from dataclasses import replace
 
 import pytest
 
 from tcaco.cli import build_parser, load_experiment, main, run_experiment
 from tcaco.config import ConfigError, ParseError
-from tcaco.engine import CycleStats, SimMetrics
+from tcaco.engine import CycleStats, SimMetrics, Simulation
 from tcaco.output import (CSV_HEADER, lower_median, per_cycle_csv_text,
-                          summary_payload)
+                          summary_payload, trust_dump_text)
+
+LIFETIME_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "lifetime_experiment.json")
 
 SMALL = {
     "node_count": 12,
@@ -115,6 +120,29 @@ class TestRunExperiment:
         first = routes.splitlines()[0].split("\t")
         assert len(first) == 4
 
+    def test_failed_replicate_is_named_and_the_others_written(self, tmp_path,
+                                                               monkeypatch, capsys):
+        original_run = Simulation.run
+
+        def run(sim):
+            if (sim.protocol, sim.seed) == ("dist_aco", 4):
+                raise RuntimeError("injected failure")
+            return original_run(sim)
+
+        monkeypatch.setattr(Simulation, "run", run)
+        out = tmp_path / "out"
+        payload = dict(SMALL, protocols=["tc_aco", "dist_aco"], replicates=3,
+                       out_dir=str(out))
+        spec = load_experiment(write_cfg(tmp_path, payload), parse_args([]))
+        assert run_experiment(spec) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "run failed" in line]
+        assert len(errors) == 1
+        assert "(dist_aco, seed 4)" in errors[0] and "injected failure" in errors[0]
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ["dist_aco_rep0.csv", "dist_aco_rep2.csv", "tc_aco_rep0.csv",
+                           "tc_aco_rep1.csv", "tc_aco_rep2.csv"]
+
     def test_unusable_out_dir_exits_3_without_summary(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -131,6 +159,18 @@ class TestRunExperiment:
         lines = (out / "tc_aco_rep0.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + SMALL["max_cycles"]
+
+
+class TestTrustDump:
+    def test_dump_reports_the_trust_the_engine_routed_on(self):
+        spec = load_experiment(LIFETIME_CONFIG, parse_args([]))
+        sim = Simulation(replace(spec.config, max_cycles=200), protocol="tc_aco", seed=1)
+        sim.run()
+        rows = trust_dump_text(sim).splitlines()[1:]
+        assert len(rows) == len(sim.trust_table)
+        for line in rows:
+            i, j, _, _, _, t_ij, _ = line.split(",")
+            assert float(t_ij) == sim.trust_table[(int(i), int(j))], line
 
 
 class TestMainExitCodes:

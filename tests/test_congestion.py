@@ -35,13 +35,6 @@ class TestQueue:
         enqueue(q, p)
         assert p.wait_cycles == 0
 
-    def test_unbounded_never_full(self):
-        q = NodeQueue(1, unbounded=True)
-        for k in range(5):
-            assert enqueue(q, pkt(k))
-        assert not q.full
-        assert q.free_space() == 0
-
     def test_fifo_order_preserved(self):
         q = NodeQueue(5)
         packets = [pkt(k) for k in range(4)]

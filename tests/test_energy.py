@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tcaco.config import RadioParams, SimConfig
-from tcaco.energy import can_transmit, debit, rx_cost, tx_cost
+from tcaco.energy import debit, rx_cost, tx_cost
 from tcaco.model import NodeState
 
 PARAMS = RadioParams()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
@@ -29,14 +29,14 @@ def test_rx_hand_values():
     assert rx_cost(1, PARAMS) == pytest.approx(50e-9, abs=1e-15)
 
 
-def test_can_transmit_boundary_included():
+def test_alive_boundary_included():
     cfg = SimConfig()
     node = NodeState(0, (0, 0), energy=1.0, energy_threshold=cfg.energy_threshold)
-    assert can_transmit(node, cfg)
+    assert node.alive
     node.energy = 0.009
-    assert not can_transmit(node, cfg)
+    assert not node.alive
     node.energy = cfg.energy_threshold
-    assert can_transmit(node, cfg)
+    assert node.alive
 
 
 def test_debit_basic_and_clamp():

@@ -4,7 +4,7 @@ import pytest
 
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import (PROTOCOLS, Simulation, deploy_nodes,
-                          extract_milestones, run_baseline, run_simulation)
+                          extract_milestones, run_simulation)
 from tcaco.energy import tx_cost
 import random
 
@@ -18,6 +18,13 @@ def total_counts(metrics):
         dti += r.dropped_timeout
         dma += r.dropped_malicious
     return gen, dele, dov, dti, dma
+
+
+def seen_packets(sim):
+    """Every packet that reached a terminal fate other than overflow, or is
+    still queued; needs ``log_routes=True``."""
+    return ([p for _, p in sim.route_log]
+            + [p for q in sim.queues for p in q.entries])
 
 
 def assert_conserved(metrics):
@@ -150,14 +157,17 @@ class TestFaultBehaviors:
                         source_node=0, max_cycles=6, packets_per_round=6,
                         queue_capacity=10,
                         fault_spec=(FaultSpec(behavior="flood", nodes=(2,), rate=12),))
-        sim = Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0), (30.0, 30.0)])
+        sim = Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0), (30.0, 30.0)],
+                         log_routes=True)
         metrics = sim.run()
         for row in metrics.cycles:
             assert row.dropped_overflow == 2
         gen, dele, dov, dti, dma = total_counts(metrics)
         assert dele == 0          # the attack starves the only route
         assert dma > 0            # absorbed fakes earn no delivery credit
-        assert not any(p.fake and p.fate == DELIVERED for p in sim.packets)
+        packets = seen_packets(sim)
+        assert any(p.fake for p in packets)
+        assert not any(p.fake and p.fate == DELIVERED for p in packets)
         assert_conserved(metrics)
         # the attacker pays transmission energy for every emitted fake
         assert sim.nodes[2].energy < cfg.initial_energy
@@ -220,9 +230,9 @@ class TestRovingSource:
         cfg = SimConfig(node_count=20, max_cycles=30, source_policy="random_per_round",
                         rng_seed=3,
                         fault_spec=(FaultSpec(behavior="drop", fraction=0.3, p=1.0),))
-        sim = Simulation(cfg)
+        sim = Simulation(cfg, log_routes=True)
         sim.run()
-        origins = {p.origin for p in sim.packets if not p.fake}
+        origins = {p.origin for p in seen_packets(sim) if not p.fake}
         assert origins
         assert not origins & set(sim.faults)
 
@@ -262,16 +272,18 @@ class TestPerNodeLedger:
                                     FaultSpec(behavior="duplicate", fraction=0.1, copies=2),
                                     FaultSpec(behavior="flood", fraction=0.1, rate=4),
                                     FaultSpec(behavior="delay", fraction=0.1, extra=1)))
-        sim = Simulation(cfg, seed=17)
-        sim.run()
+        sim = Simulation(cfg, seed=17, log_routes=True)
+        metrics = sim.run()
         bs = sim.bs
         accepted = Counter()
         departed = Counter()
         terminal = Counter()
-        for p in sim.packets:
-            if p.fate == "dropped_overflow":
-                # refused at the door; flood emissions never sat in any queue
-                continue
+        # overflow drops were refused at the door and never sat in any
+        # queue; every other packet generated is seen exactly once
+        packets = seen_packets(sim)
+        gen, _, overflow, _, _ = total_counts(metrics)
+        assert len({p.id for p in packets}) == len(packets) == gen - overflow
+        for p in packets:
             trail = p.hop_trail
             accepted.update(h for h in trail if h != bs)
             for a, _ in zip(trail, trail[1:]):
@@ -344,33 +356,44 @@ class TestConservationSmall:
 
 
 class TestTrustTableAgreement:
-    def test_engine_recompute_matches_contract_functions(self):
-        """The engine's grouped trust recompute equals the per-link functions."""
+    @pytest.mark.parametrize("polarity", ["normalized", "literal"])
+    def test_engine_recompute_matches_contract_functions(self, polarity):
+        """The engine's grouped trust rows equal the per-link reference functions."""
         from tcaco.trust import (compute_trust, energy_metric, latency_score,
                                  packet_transmission_ratio)
         cfg = SimConfig(node_count=20, max_cycles=12, source_policy="random_per_round",
-                        fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.9),))
+                        latency_polarity=polarity,
+                        fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.9),
+                                    FaultSpec(behavior="delay", fraction=0.1, extra=2),
+                                    FaultSpec(behavior="duplicate", fraction=0.1,
+                                              copies=2)))
         sim = Simulation(cfg, seed=6)
         sim.run()
         levels = sim.levels.levels
         bs_level = sim.levels.bs_level
-        for (i, j), got in sim.trust_table.items():
-            e_j = cfg.initial_energy if j == sim.bs else sim.nodes[j].energy
-            ne = energy_metric(sim.nodes[i].energy, e_j, cfg.initial_energy)
-            ptr = packet_transmission_ratio(sim.stats, i, j)
-            lvl_j = bs_level if j == sim.bs else levels[j]
-            peers = [k for k in sim.topology.adjacency[i]
-                     if (bs_level if k == sim.bs else levels[k]) == lvl_j]
-            pl = latency_score(sim.stats, i, j, peers, cfg.latency_polarity,
-                               reference=float(cfg.wc_max))
-            want = compute_trust(ne, ptr, pl, cfg.a1, cfg.a2, cfg.a3)
-            assert got == pytest.approx(want, abs=1e-9), (i, j)
+        partial_scores = 0
+        for i, rows in sim.trust_rows():
+            for j, ne, ptr, pl, t_ij in rows:
+                assert t_ij == sim.trust_table[(i, j)], (i, j)
+                e_j = cfg.initial_energy if j == sim.bs else sim.nodes[j].energy
+                lvl_j = bs_level if j == sim.bs else levels[j]
+                peers = [k for k in sim.topology.adjacency[i]
+                         if (bs_level if k == sim.bs else levels[k]) == lvl_j]
+                want = (energy_metric(sim.nodes[i].energy, e_j, cfg.initial_energy),
+                        packet_transmission_ratio(sim.stats, i, j),
+                        latency_score(sim.stats, i, j, peers, polarity,
+                                      reference=float(cfg.wc_max)))
+                assert (ne, ptr, pl) == pytest.approx(want, abs=1e-9), (i, j)
+                assert t_ij == pytest.approx(
+                    compute_trust(*want, cfg.a1, cfg.a2, cfg.a3), abs=1e-9), (i, j)
+                partial_scores += 0.0 < pl < 1.0
+        assert partial_scores > 0   # the peer comparison itself was exercised
 
 
 class TestBaselines:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            run_baseline(SimConfig(node_count=5, max_cycles=1), "dijkstra")
+            run_simulation(SimConfig(node_count=5, max_cycles=1), "dijkstra")
 
     def test_dist_aco_routes_through_malicious_tc_aco_does_not(self):
         cfg = SimConfig(node_count=50, max_cycles=60,

@@ -1,21 +1,22 @@
 """Byte-identity goldens for the per-cycle CSV across the configuration space.
 
 One small run per protocol and forwarding mode, one per fault behaviour,
-and one with both literal polarities. Refactors must leave every file
-byte-identical; a change that alters one must say why in CHANGES.md.
+and one with both literal polarities, plus the trust dump of one tc_aco
+run. Refactors must leave every file byte-identical; a change that alters
+one must say why in CHANGES.md.
 
 Run this module as a script to record goldens that do not exist yet;
 existing files are never overwritten.
 """
 
 import os
-import sys
+from functools import partial
 
 import pytest
 
 from tcaco.config import FaultSpec, SimConfig
-from tcaco.engine import PROTOCOLS, run_simulation
-from tcaco.output import per_cycle_csv_text
+from tcaco.engine import PROTOCOLS, Simulation
+from tcaco.output import per_cycle_csv_text, trust_dump_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -45,33 +46,51 @@ CASES = {
 }
 
 
-def case_csv_text(name: str) -> str:
+TRUST_DUMP_CASE = "tc_aco_deterministic_rank"
+TRUST_DUMP_GOLDEN = "tc_aco_trust_dump.csv"
+
+
+def case_simulation(name: str) -> Simulation:
     protocol, overrides = CASES[name]
-    return per_cycle_csv_text(run_simulation(SimConfig(**{**BASE, **overrides}),
-                                             protocol=protocol))
+    return Simulation(SimConfig(**{**BASE, **overrides}), protocol=protocol)
 
 
-def golden_path(name: str) -> str:
-    return os.path.join(GOLDEN_DIR, f"{name}.csv")
+def case_csv_text(name: str) -> str:
+    return per_cycle_csv_text(case_simulation(name).run())
+
+
+def trust_dump_golden_text() -> str:
+    sim = case_simulation(TRUST_DUMP_CASE)
+    sim.run()
+    return trust_dump_text(sim)
+
+
+def read_golden(filename: str) -> str:
+    with open(os.path.join(GOLDEN_DIR, filename), "r", encoding="utf-8",
+              newline="") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_per_cycle_csv_matches_golden(name):
-    with open(golden_path(name), "r", encoding="utf-8", newline="") as fh:
-        committed = fh.read()
-    assert case_csv_text(name) == committed
+    assert case_csv_text(name) == read_golden(f"{name}.csv")
+
+
+def test_trust_dump_matches_golden():
+    assert trust_dump_golden_text() == read_golden(TRUST_DUMP_GOLDEN)
 
 
 def record_missing() -> None:
-    for name in sorted(CASES):
-        path = golden_path(name)
+    goldens = {f"{name}.csv": partial(case_csv_text, name) for name in CASES}
+    goldens[TRUST_DUMP_GOLDEN] = trust_dump_golden_text
+    for filename, render in sorted(goldens.items()):
+        path = os.path.join(GOLDEN_DIR, filename)
         if os.path.exists(path):
             continue
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(case_csv_text(name))
+            fh.write(render())
         print(f"recorded {path}")
 
 
 if __name__ == "__main__":
     record_missing()
-    sys.exit(0)

@@ -5,10 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TRUSTWORTHY, UNTRUSTED,
-                         TrustStats, ZeroWeights, classify, compute_trust,
-                         energy_metric, latency_score,
-                         packet_transmission_ratio)
+from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, ZeroWeights,
+                         classify, compute_trust, energy_metric, latency_score,
+                         node_trust, packet_transmission_ratio)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -148,40 +147,70 @@ class TestComputeTrust:
         assert -1e-12 <= t <= 1.0 + 1e-12
 
 
+def sent(*links):
+    stats = TrustStats()
+    for i, j in links:
+        stats.record_send(i, j)
+    return stats
+
+
 class TestClassify:
     def test_strictly_above_threshold_is_trustworthy(self):
-        links, nodes = classify({(0, 1): 0.51}, 0.5)
-        assert links[(0, 1)] == TRUSTWORTHY
+        nodes = classify({(0, 1): 0.51}, sent((0, 1)), 0.5, 2)
         assert nodes[1] == TRUSTED_NODE
 
     def test_equality_is_untrusted(self):
-        links, nodes = classify({(0, 1): 0.5}, 0.5)
-        assert links[(0, 1)] == UNTRUSTED
+        nodes = classify({(0, 1): 0.5}, sent((0, 1)), 0.5, 2)
         assert nodes[1] == MALICIOUS_NODE
+
+    def test_node_without_evidence_stays_trusted(self):
+        table = {(0, 1): 0.1, (1, 0): 0.1}
+        assert classify(table, TrustStats(), 0.5, 2) == {0: TRUSTED_NODE, 1: TRUSTED_NODE}
 
     def test_node_with_no_trustworthy_incoming_link_is_malicious(self):
         table = {(0, 2): 0.3, (1, 2): 0.4, (2, 0): 0.9, (2, 1): 0.9}
-        links, nodes = classify(table, 0.5)
+        nodes = classify(table, sent((0, 2), (1, 2), (2, 0), (2, 1)), 0.5, 3)
         assert nodes[2] == MALICIOUS_NODE
         assert nodes[0] == TRUSTED_NODE and nodes[1] == TRUSTED_NODE
 
+    def test_one_vouching_sender_is_enough(self):
+        table = {(0, 2): 0.3, (1, 2): 0.9, (2, 0): 0.9, (2, 1): 0.9}
+        nodes = classify(table, sent((0, 2), (1, 2)), 0.5, 3)
+        assert nodes[2] == TRUSTED_NODE
+
+    def test_vouching_needs_evidence(self):
+        # the trustworthy link from 1 carried nothing, so it vouches for nothing
+        table = {(0, 2): 0.3, (1, 2): 0.9}
+        nodes = classify(table, sent((0, 2)), 0.5, 3)
+        assert nodes[2] == MALICIOUS_NODE
+        assert nodes[0] == TRUSTED_NODE and nodes[1] == TRUSTED_NODE
+
+    def test_sink_is_never_classified(self):
+        # two sensor nodes; id 2 is the sink, and its only link is untrusted
+        nodes = classify({(0, 2): 0.1, (1, 2): 0.1}, sent((0, 2), (1, 2)), 0.5, 2)
+        assert nodes == {0: TRUSTED_NODE, 1: TRUSTED_NODE}
+
     def test_pure_function(self):
         table = {(0, 1): 0.7, (1, 0): 0.2}
-        assert classify(table, 0.5) == classify(table, 0.5)
+        stats = sent((0, 1), (1, 0))
+        assert classify(table, stats, 0.5, 2) == classify(table, stats, 0.5, 2)
 
 
 def test_drop_all_link_converges_untrusted():
     """A never-acknowledging neighbor loses the link and the node verdict."""
     stats = TrustStats()
     table = {}
+    levels = [1, 2, 2, 3]       # 0 sends to 1 and 2 on the next level; 3 is the sink
+    energies = [1.0] * 4
     for cycle in range(1, 30):
         for _ in range(5):
             stats.record_send(0, 1)
             stats.record_latency(0, 1, math.inf)
-        ptr = packet_transmission_ratio(stats, 0, 1)
-        pl = latency_score(stats, 0, 1, peers=[2], reference=3.0)
-        table[(0, 1)] = compute_trust(1.0, ptr, pl, 1, 1, 1)
+        for j, _, _, _, t_ij in node_trust(stats, 0, [1, 2], levels, energies,
+                                           1.0, 1, 1, 1, "normalized", 3.0):
+            table[(0, j)] = t_ij
     assert packet_transmission_ratio(stats, 0, 1) == 0.0
     assert table[(0, 1)] < 0.5
-    _, nodes = classify(table, 0.5)
+    nodes = classify(table, stats, 0.5, 3)
     assert nodes[1] == MALICIOUS_NODE
+    assert nodes[2] == TRUSTED_NODE     # never sent to: no evidence against it
