@@ -1,8 +1,8 @@
 """Byte-identity goldens for the per-cycle CSV across the configuration space.
 
 One small run per protocol and forwarding mode, one per fault behaviour,
-and one with both literal polarities, plus the trust dump of one tc_aco
-run. Refactors must leave every file byte-identical; a change that alters
+one with both literal polarities, and one with a rolling congestion
+window, plus the trust dump of one tc_aco run. Refactors must leave every file byte-identical; a change that alters
 one must say why in CHANGES.md.
 
 Run this module as a script to record goldens that do not exist yet;
@@ -43,6 +43,8 @@ CASES = {
         rng_seed=7, latency_polarity="literal", congestion_polarity="literal",
         fault_spec=(FaultSpec(behavior="drop", fraction=0.15, p=0.8),
                     FaultSpec(behavior="delay", fraction=0.15, extra=2)))),
+    "congestion_window": ("tc_aco", dict(
+        rng_seed=7, congestion_window=3, fault_spec=(FAULTS["flood"],))),
 }
 
 
