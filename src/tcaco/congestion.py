@@ -3,9 +3,9 @@
 The congestion index of a node compares how much traffic it absorbs
 (average inflow plus free buffer space) against how much it drains
 (average outflow). Flow averages run over all completed cycles by
-default, or over a rolling window when one is configured. Counts are
-kept as integers so an incremental evaluation is bit-identical to a
-replay over the raw per-cycle trace.
+default, or over a rolling window when one is configured. Only running
+integer sums are kept, so the history does not grow with the run and
+the averages are bit-identical to a replay over the raw per-cycle trace.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .model import DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
 
 
 class InsufficientHistory(ValueError):
-    """Flow averages need at least one completed cycle."""
+    """Flow averages need at least one recorded cycle."""
 
 
 class NodeQueue:
@@ -72,10 +72,11 @@ def tick_wait_and_drop(queue: NodeQueue, wc_max: int) -> list[Packet]:
 
 
 class FlowHistory:
-    """Per-node inflow/outflow counts and end-of-cycle free buffer space.
+    """Per-node running inflow/outflow sums and end-of-cycle free buffer space.
 
-    ``record_cycle`` closes one cycle. Averages at cycle ``c`` cover
-    cycles 1..c-1 (optionally only the most recent ``window`` of them).
+    ``record_cycle`` closes one cycle. Averages answer for the next cycle
+    and cover every recorded cycle, or only the most recent ``window`` of
+    them; a window keeps its rows so the sums can take back the oldest.
     """
 
     def __init__(self, node_count: int, window: Optional[int] = None):
@@ -83,62 +84,52 @@ class FlowHistory:
             raise ValueError("window must be >= 1 when set")
         self.node_count = node_count
         self.window = window
-        self.inflow: list[list[int]] = [[] for _ in range(node_count)]
-        self.outflow: list[list[int]] = [[] for _ in range(node_count)]
-        self.free_space: list[list[int]] = [[] for _ in range(node_count)]
+        self.cycles = 0
         self._in_sum = [0] * node_count
         self._out_sum = [0] * node_count
-
-    @property
-    def cycles_recorded(self) -> int:
-        return len(self.inflow[0]) if self.node_count else 0
+        self._free = [0] * node_count
+        self._rows: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque()
 
     def record_cycle(self, inflows: list[int], outflows: list[int],
                      free_spaces: list[int]) -> None:
+        in_sum, out_sum = self._in_sum, self._out_sum
         for k in range(self.node_count):
-            self.inflow[k].append(inflows[k])
-            self.outflow[k].append(outflows[k])
-            self.free_space[k].append(free_spaces[k])
-            self._in_sum[k] += inflows[k]
-            self._out_sum[k] += outflows[k]
-            if self.window is not None and len(self.inflow[k]) > self.window:
-                drop_idx = len(self.inflow[k]) - self.window - 1
-                self._in_sum[k] -= self.inflow[k][drop_idx]
-                self._out_sum[k] -= self.outflow[k][drop_idx]
+            in_sum[k] += inflows[k]
+            out_sum[k] += outflows[k]
+        self._free = list(free_spaces)
+        self.cycles += 1
+        if self.window is not None:
+            self._rows.append((tuple(inflows), tuple(outflows)))
+            if len(self._rows) > self.window:
+                old_in, old_out = self._rows.popleft()
+                for k in range(self.node_count):
+                    in_sum[k] -= old_in[k]
+                    out_sum[k] -= old_out[k]
 
-    def _avg(self, series: list[int], running: int, c: int) -> float:
-        if c < 2:
-            raise InsufficientHistory("flow averages undefined before cycle 2")
-        completed = c - 1
-        if completed > self.cycles_recorded:
-            raise InsufficientHistory(
-                f"cycle {c} queried but only {self.cycles_recorded} recorded")
-        start = 0 if self.window is None else max(0, completed - self.window)
-        span = completed - start
-        if completed == self.cycles_recorded:
-            total = running
-        else:
-            total = sum(series[start:completed])
-        return total / span
+    def _avg(self, running: int) -> float:
+        if not self.cycles:
+            raise InsufficientHistory("flow averages need one recorded cycle")
+        span = self.cycles if self.window is None else len(self._rows)
+        return running / span
 
-    def avg_inflow(self, k: int, c: int) -> float:
-        return self._avg(self.inflow[k], self._in_sum[k], c)
+    def avg_inflow(self, k: int) -> float:
+        return self._avg(self._in_sum[k])
 
-    def avg_outflow(self, k: int, c: int) -> float:
-        return self._avg(self.outflow[k], self._out_sum[k], c)
+    def avg_outflow(self, k: int) -> float:
+        return self._avg(self._out_sum[k])
 
-    def congestion_index(self, k: int, c: int) -> float:
+    def congestion_index(self, k: int) -> float:
         """Fraction of absorbed traffic the node fails to drain, in [0,1].
 
         Bootstraps to 0 before any history exists, and a zero denominator
         (no inflow history, no free space) also yields 0: such a node has
         produced no congestion evidence.
         """
-        if c < 2:
+        if not self.cycles:
             return 0.0
-        r_in = self.avg_inflow(k, c)
-        r_out = self.avg_outflow(k, c)
-        q_prev = self.free_space[k][c - 2]
+        r_in = self.avg_inflow(k)
+        r_out = self.avg_outflow(k)
+        q_prev = self._free[k]
         denom = r_in + q_prev
         if denom <= 0:
             return 0.0

@@ -20,7 +20,7 @@ from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, NodeState, Packet
-from .routing import (LevelAssignment, PheromoneTable, assign_levels,
+from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
@@ -162,9 +162,6 @@ class Simulation:
         ]
         self.queues = [NodeQueue(cfg.queue_capacity) for _ in range(n)]
 
-        self.links = [
-            (i, j) for i in range(n) for j in self.topology.adjacency[i]
-        ]
         self.radio_params = cfg.radio_params()
         self.packet_bits = cfg.packet_size_bits
         self.ack_bits = int(round(cfg.ack_size_fraction * cfg.packet_size_bits))
@@ -172,11 +169,11 @@ class Simulation:
 
         self.stats = TrustStats()
         self.trust_table: dict[tuple[int, int], float] = {
-            link: 1.0 for link in self.links
+            (i, j): 1.0 for i in range(n) for j in self.topology.adjacency[i]
         }
         self.node_class = {i: TRUSTED_NODE for i in range(n)}
         self.ci = [0.0] * n
-        self.pheromone = PheromoneTable(self.links, cfg.tau_init, cfg.tau_floor)
+        self.pheromone = PheromoneTable(self.trust_table, cfg.tau_init, cfg.tau_floor)
         self.flow = FlowHistory(n, window=cfg.congestion_window)
 
         self.cycle = 0
@@ -248,32 +245,19 @@ class Simulation:
     def _alive_flags(self) -> list[bool]:
         return [node.alive for node in self.nodes]
 
-    def _bs_component(self, alive: list[bool]) -> set[int]:
-        """Nodes whose alive component currently reaches the base station."""
-        seen: set[int] = set()
-        frontier = [j for j in self.topology.adjacency[self.bs] if alive[j]]
-        seen.update(frontier)
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in self.topology.adjacency[i]:
-                    if j != self.bs and alive[j] and j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        return seen
-
     def _pick_source(self, alive: list[bool]) -> int:
         if self.cfg.source_policy == "fixed":
             source = self.fixed_source
             if not alive[source]:
                 raise SourceDead(f"fixed source {source} fell below the energy threshold")
             return source
-        reachable = self._bs_component(alive)
-        pool = sorted(
+        # nodes whose alive component currently reaches the base station
+        hops = hops_from(self.topology,
+                         [j for j in self.topology.adjacency[self.bs] if alive[j]], alive)
+        pool = [
             i for i in range(self.cfg.node_count)
-            if alive[i] and i not in self.faults and i in reachable
-        )
+            if hops[i] is not None and i not in self.faults
+        ]
         if not pool:
             raise SourceDead("no alive honest node can reach the base station")
         return self.rng.choice(pool)
@@ -295,12 +279,12 @@ class Simulation:
         out = []
         for j in self.topology.adjacency[i]:
             if j == self.bs:
-                t_ij = self.trust_table.get((i, j), 1.0)
+                t_ij = self.trust_table[i, j]
                 ci_j = 0.0
             else:
                 if levels[j] != level_i + 1:
                     continue
-                t_ij = self.trust_table.get((i, j), 1.0)
+                t_ij = self.trust_table[i, j]
                 if self.policy.trust_filter:
                     if self.node_class.get(j) == MALICIOUS_NODE:
                         continue
@@ -531,9 +515,8 @@ class Simulation:
         if self.needs_trust:
             self._recompute_trust()
         if self.needs_ci:
-            nxt = self.cycle + 1
             self.ci = [
-                self.flow.congestion_index(k, nxt)
+                self.flow.congestion_index(k)
                 if self.node_class.get(k) == TRUSTED_NODE else 0.0
                 for k in range(cfg.node_count)
             ]

@@ -29,8 +29,32 @@ class LevelAssignment:
     levels: tuple[Optional[int], ...]  # indexed by node id, bs excluded
     bs_level: int                      # r: the sink's level on the delivery path
 
-    def level(self, node_id: int) -> Optional[int]:
-        return self.levels[node_id]
+
+def hops_from(topology: Topology, roots: Sequence[int],
+              alive: Sequence[bool]) -> list[Optional[int]]:
+    """Breadth-first hop count of every node from the nearest root.
+
+    The roots (alive sensor nodes) are at hop 0. The search crosses alive
+    sensor nodes only and never passes through the sink; nodes it does
+    not reach get None.
+    """
+    bs = topology.bs_id
+    hops: list[Optional[int]] = [None] * topology.node_count
+    for r in roots:
+        hops[r] = 0
+    frontier = list(roots)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for i in frontier:
+            for j in topology.adjacency[i]:
+                if j == bs or not alive[j] or hops[j] is not None:
+                    continue
+                hops[j] = depth
+                nxt.append(j)
+        frontier = nxt
+    return hops
 
 
 def assign_levels(topology: Topology, source: int,
@@ -41,29 +65,14 @@ def assign_levels(topology: Topology, source: int,
     its nearest labeled neighbor; if no neighbor of the sink is reachable
     the network is disconnected for this source.
     """
-    n = topology.node_count
-    bs = topology.bs_id
     if alive is None:
-        alive = [True] * n
+        alive = [True] * topology.node_count
     if not alive[source]:
         raise DisconnectedNetwork(f"source {source} is not alive")
-    levels: list[Optional[int]] = [None] * n
-    levels[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for i in frontier:
-            for j in topology.adjacency[i]:
-                if j == bs or not alive[j] or levels[j] is not None:
-                    continue
-                levels[j] = depth
-                nxt.append(j)
-        frontier = nxt
+    levels = hops_from(topology, [source], alive)
     bs_neighbor_levels = [
-        levels[j] for j in topology.adjacency[bs]
-        if j != bs and alive[j] and levels[j] is not None
+        levels[j] for j in topology.adjacency[topology.bs_id]
+        if alive[j] and levels[j] is not None
     ]
     if not bs_neighbor_levels:
         raise DisconnectedNetwork("base station unreachable from the source")

@@ -2,7 +2,9 @@
 
 Sensor nodes get ids 0..n-1; the base station is appended as id n. Two
 endpoints are neighbors when their Euclidean distance is within the radio
-range. The base station must be reachable from at least one node.
+range; distances are kept for neighbors only, so the stored topology grows
+with the link count, not with n squared. The base station must be
+reachable from at least one node.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class Topology:
     positions: tuple[tuple[float, float], ...]  # sensor nodes only
     bs_position: tuple[float, float]
     radio_range: float
-    distances: tuple[tuple[float, ...], ...]    # (n+1) x (n+1), bs last
+    distances: tuple[dict[int, float], ...]     # per endpoint, {neighbor id: distance}, bs last
     adjacency: tuple[tuple[int, ...], ...]      # per endpoint, sorted neighbor ids
 
     @property
@@ -38,37 +40,32 @@ class Topology:
     def distance(self, i: int, j: int) -> float:
         return self.distances[i][j]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
 
 def build_topology(positions, bs_position, radio_range) -> Topology:
-    """Construct distance matrix and symmetric adjacency for nodes plus sink.
+    """Neighbor distances and symmetric adjacency for nodes plus sink.
 
-    Raises DisconnectedNetwork when no node is within radio range of the
-    base station; source-to-sink connectivity is checked at level
-    assignment, where the source is known.
+    Each unordered pair is measured once; only pairs within radio range
+    are stored. Raises DisconnectedNetwork when no node is within radio
+    range of the base station; source-to-sink connectivity is checked at
+    level assignment, where the source is known.
     """
     pts = [tuple(p) for p in positions] + [tuple(bs_position)]
     n_all = len(pts)
-    dist = [[0.0] * n_all for _ in range(n_all)]
+    distances: list[dict[int, float]] = [{} for _ in range(n_all)]
+    # rows fill in ascending neighbor order: lower ids arrive from earlier
+    # rows, higher ids from this row's own scan
     for i in range(n_all):
         for j in range(i + 1, n_all):
             d = euclidean_distance(pts[i], pts[j])
-            dist[i][j] = d
-            dist[j][i] = d
-    adjacency = []
-    for i in range(n_all):
-        adjacency.append(tuple(
-            j for j in range(n_all)
-            if j != i and dist[i][j] <= radio_range
-        ))
-    if not adjacency[n_all - 1]:
+            if d <= radio_range:
+                distances[i][j] = d
+                distances[j][i] = d
+    if not distances[n_all - 1]:
         raise DisconnectedNetwork("no node within radio range of the base station")
     return Topology(
         positions=tuple(pts[:-1]),
         bs_position=pts[-1],
         radio_range=radio_range,
-        distances=tuple(tuple(row) for row in dist),
-        adjacency=tuple(adjacency),
+        distances=tuple(distances),
+        adjacency=tuple(tuple(row) for row in distances),
     )

@@ -15,7 +15,6 @@ that tests compare ``node_trust`` against.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Iterable, Sequence
 
 TRUSTWORTHY = "trustworthy"
@@ -51,27 +50,39 @@ class LinkStats:
         return self.latency_sum / self.latency_count
 
 
+# What a link without evidence reads as; shared, never written.
+_NO_EVIDENCE = LinkStats()
+
+
 class TrustStats:
-    """All per-link evidence for one simulation instance (single writer)."""
+    """All per-link evidence for one simulation instance (single writer).
+
+    Only evidence creates a link's record; reading a link without any
+    stores nothing."""
 
     def __init__(self):
-        self._links: dict[tuple[int, int], LinkStats] = defaultdict(LinkStats)
+        self._links: dict[tuple[int, int], LinkStats] = {}
 
     def link(self, i: int, j: int) -> LinkStats:
-        return self._links[(i, j)]
+        return self._links.get((i, j), _NO_EVIDENCE)
+
+    def _evidence(self, i: int, j: int) -> LinkStats:
+        s = self._links.get((i, j))
+        if s is None:
+            s = self._links[(i, j)] = LinkStats()
+        return s
 
     def record_send(self, i: int, j: int) -> None:
-        s = self._links[(i, j)]
-        s.packets_sent += 1
+        self._evidence(i, j).packets_sent += 1
 
     def record_ack(self, i: int, j: int) -> None:
-        s = self._links[(i, j)]
+        s = self._evidence(i, j)
         s.acks_received += 1
         if s.acks_received > s.packets_sent:
             raise RuntimeError(f"more acks than sends on link {i}->{j}")
 
     def record_latency(self, i: int, j: int, value: float) -> None:
-        self._links[(i, j)].add_latency(value)
+        self._evidence(i, j).add_latency(value)
 
 
 def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:

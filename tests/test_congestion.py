@@ -95,68 +95,64 @@ def history_from(inflows, outflows, frees):
 class TestFlowAverages:
     def test_avg_inflow_two_cycles(self):
         h = history_from([4, 6], [0, 0], [10, 10])
-        assert h.avg_inflow(0, 3) == pytest.approx(5.0, abs=1e-12)
+        assert h.avg_inflow(0) == pytest.approx(5.0, abs=1e-12)
 
     def test_avg_inflow_single_cycle(self):
         h = history_from([7], [0], [10])
-        assert h.avg_inflow(0, 2) == pytest.approx(7.0, abs=1e-12)
+        assert h.avg_inflow(0) == pytest.approx(7.0, abs=1e-12)
 
     def test_all_zero_history(self):
         h = history_from([0, 0, 0], [0, 0, 0], [10, 10, 10])
-        assert h.avg_inflow(0, 4) == 0.0
-        assert h.avg_outflow(0, 4) == 0.0
+        assert h.avg_inflow(0) == 0.0
+        assert h.avg_outflow(0) == 0.0
 
     def test_avg_outflow_values(self):
         h = history_from([0, 0], [2, 4], [10, 10])
-        assert h.avg_outflow(0, 3) == pytest.approx(3.0, abs=1e-12)
+        assert h.avg_outflow(0) == pytest.approx(3.0, abs=1e-12)
         h2 = history_from([0], [10], [10])
-        assert h2.avg_outflow(0, 2) == pytest.approx(10.0, abs=1e-12)
+        assert h2.avg_outflow(0) == pytest.approx(10.0, abs=1e-12)
 
     def test_history_required(self):
         h = FlowHistory(1)
         with pytest.raises(InsufficientHistory):
-            h.avg_inflow(0, 1)
+            h.avg_inflow(0)
         with pytest.raises(InsufficientHistory):
-            h.avg_outflow(0, 1)
-        h.record_cycle([1], [1], [5])
-        with pytest.raises(InsufficientHistory):
-            h.avg_inflow(0, 3)  # cycle 3 needs two completed cycles
+            h.avg_outflow(0)
 
 
 class TestCongestionIndex:
     def test_bootstrap_zero_before_history(self):
-        assert FlowHistory(1).congestion_index(0, 1) == 0.0
+        assert FlowHistory(1).congestion_index(0) == 0.0
 
     def test_hand_value(self):
         # r_in 5, free space 1, r_out 3 -> (5+1-3)/(5+1)
         h = history_from([5], [3], [1])
-        assert h.congestion_index(0, 2) == pytest.approx(0.5, abs=1e-12)
+        assert h.congestion_index(0) == pytest.approx(0.5, abs=1e-12)
 
     def test_numerator_vanishes(self):
         # r_out equals r_in + free space
         h = history_from([2], [4], [2])
-        assert h.congestion_index(0, 2) == 0.0
+        assert h.congestion_index(0) == 0.0
 
     def test_nothing_leaves_is_fully_congested(self):
         h = history_from([3], [0], [4])
-        assert h.congestion_index(0, 2) == 1.0
+        assert h.congestion_index(0) == 1.0
 
     def test_negative_clamped_to_zero(self):
         # draining faster than absorbing: (1+1-5)/(1+1) < 0
         h = history_from([1], [5], [1])
-        assert h.congestion_index(0, 2) == 0.0
+        assert h.congestion_index(0) == 0.0
 
     def test_zero_denominator_is_zero(self):
         h = history_from([0], [0], [0])
-        assert h.congestion_index(0, 2) == 0.0
+        assert h.congestion_index(0) == 0.0
 
     def test_in_unit_interval(self):
         rng = random.Random(5)
         h = FlowHistory(1)
         for _ in range(50):
             h.record_cycle([rng.randrange(20)], [rng.randrange(20)], [rng.randrange(11)])
-        for c in range(2, 51):
-            assert 0.0 <= h.congestion_index(0, c) <= 1.0
+            assert 0.0 <= h.congestion_index(0) <= 1.0
 
 
 def replay_congestion_index(inflows, outflows, frees, k, c, window=None):
@@ -200,13 +196,12 @@ def test_incremental_matches_replay_exactly(data, window):
     inflows = [[] for _ in range(nodes)]
     outflows = [[] for _ in range(nodes)]
     frees = [[] for _ in range(nodes)]
-    for a, b, f in rows:
+    for c, (a, b, f) in enumerate(rows, start=2):
         h.record_cycle(a, b, f)
         for k in range(nodes):
             inflows[k].append(a[k])
             outflows[k].append(b[k])
             frees[k].append(f[k])
-    c = len(rows) + 1
-    for k in range(nodes):
-        assert h.congestion_index(k, c) == replay_congestion_index(
-            inflows, outflows, frees, k, c, window)
+        for k in range(nodes):
+            assert h.congestion_index(k) == replay_congestion_index(
+                inflows, outflows, frees, k, c, window)

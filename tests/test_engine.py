@@ -1,7 +1,13 @@
-"""Per-cycle state machine, fault behaviors, terminations, and determinism."""
+"""Per-cycle state machine, fault behaviors, terminations, determinism, and
+bounded stored state."""
+
+import os
+import tracemalloc
 
 import pytest
 
+from tcaco import congestion, topology
+from tcaco.cli import build_parser, load_experiment
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import (PROTOCOLS, Simulation, deploy_nodes,
                           extract_milestones, run_simulation)
@@ -410,3 +416,28 @@ class TestBaselines:
                         max_cycles=10, alpha=0.0)
         metrics = run_simulation(cfg, seed=2)
         assert len(metrics.cycles) == 10
+
+
+class TestBoundedState:
+    def test_flow_and_topology_state_does_not_grow_with_cycles(self):
+        """Cycles 101-400 of the lifetime config add (almost) nothing that
+        congestion.py or topology.py allocated."""
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "lifetime_experiment.json")
+        spec = load_experiment(config, build_parser().parse_args([]))
+        watched = [tracemalloc.Filter(True, congestion.__file__),
+                   tracemalloc.Filter(True, topology.__file__)]
+        tracemalloc.start()
+        try:
+            sim = Simulation(spec.config, protocol="tc_aco", seed=1)
+            for _ in range(100):
+                sim.run_cycle()
+            before = tracemalloc.take_snapshot().filter_traces(watched)
+            for _ in range(300):
+                sim.run_cycle()
+            after = tracemalloc.take_snapshot().filter_traces(watched)
+        finally:
+            tracemalloc.stop()
+        assert spec.config.node_count == 50 and sim.cycle == 400
+        growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert growth < 32 * 1024, f"{growth} bytes"

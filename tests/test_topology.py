@@ -60,23 +60,28 @@ def test_unreachable_sink_raises():
         build_topology([(0, 0), (5, 0)], (500, 500), 10.0)
 
 
-def test_distance_matrix_symmetric_zero_diagonal():
+def test_neighbor_distances_symmetric():
     topo = build_topology([(0, 0), (30, 40), (10, 10)], (5, 5), 60.0)
-    n = topo.node_count + 1
-    for i in range(n):
-        assert topo.distances[i][i] == 0.0
-        for j in range(n):
+    for i in range(topo.node_count + 1):
+        assert tuple(topo.distances[i]) == topo.adjacency[i]
+        for j in topo.adjacency[i]:
             assert topo.distances[i][j] == topo.distances[j][i]
 
 
 def test_adjacency_matches_range_rule():
-    topo = build_topology([(0, 0), (30, 40), (10, 10)], (5, 5), 60.0)
+    positions = [(0, 0), (30, 40), (10, 10), (80, 0)]
+    topo = build_topology(positions, (5, 5), 60.0)
+    pts = [*positions, (5, 5)]
     for i in range(topo.node_count + 1):
         for j in range(topo.node_count + 1):
             if i == j:
                 continue
-            expected = topo.distances[i][j] <= topo.radio_range
-            assert (j in topo.adjacency[i]) == expected
+            d = euclidean_distance(pts[i], pts[j])
+            assert (j in topo.adjacency[i]) == (d <= topo.radio_range)
+            if j in topo.adjacency[i]:
+                assert topo.distances[i][j] == d
+            else:
+                assert j not in topo.distances[i]
 
 
 def test_rebuild_is_bit_identical():

@@ -214,3 +214,20 @@ def test_drop_all_link_converges_untrusted():
     nodes = classify(table, stats, 0.5, 3)
     assert nodes[1] == MALICIOUS_NODE
     assert nodes[2] == TRUSTED_NODE     # never sent to: no evidence against it
+
+
+class TestEvidenceRecords:
+    def test_read_stores_nothing(self):
+        stats = TrustStats()
+        assert stats.link(0, 1).packets_sent == 0
+        assert stats.link(0, 1).mean_latency() is None
+        assert stats._links == {}
+
+    def test_engine_run_stores_only_links_with_evidence(self):
+        from test_golden import case_simulation
+        sim = case_simulation("tc_aco_deterministic_rank")
+        sim.run()
+        records = sim.stats._links
+        assert records
+        assert all(s.packets_sent > 0 for s in records.values())
+        assert len(records) < len(sim.trust_table)   # the trust reads allocated none
