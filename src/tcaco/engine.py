@@ -118,6 +118,16 @@ def extract_milestones(dead_counts: Sequence[int], node_count: int,
     return out
 
 
+def _level_labels(nodes: Sequence[int], levels: Sequence) -> list[int]:
+    """How ``nodes`` group by level: each node's level numbered in order of
+    first appearance, so equal lists mean equal groupings."""
+    seen: dict = {}
+    labels = []
+    for j in nodes:
+        labels.append(seen.setdefault(levels[j], len(seen)))
+    return labels
+
+
 def _farthest_corner(cfg: SimConfig) -> tuple[float, float]:
     bs = cfg.effective_bs_position()
     corners = [(0.0, 0.0), (cfg.field_width, 0.0),
@@ -136,7 +146,6 @@ class Simulation:
         self.policy, self.betas = get_policy(protocol, cfg)
         self.protocol = protocol
         self.needs_trust = self.policy.trust_filter or self.betas[0] > 0
-        self.needs_ci = self.betas[0] > 0
         self.needs_pheromone = self.betas[2] != 0
         self.seed = cfg.rng_seed if seed is None else seed
         self.rng = random.Random(self.seed)
@@ -172,7 +181,10 @@ class Simulation:
             (i, j): 1.0 for i in range(n) for j in self.topology.adjacency[i]
         }
         self.node_class = {i: TRUSTED_NODE for i in range(n)}
-        self.ci = [0.0] * n
+        # what the trust rows were last computed from (see _recompute_trust)
+        self._trust_energies: Optional[list[float]] = None
+        self._trust_levels: Optional[LevelAssignment] = None
+        self._latency_groups: dict[int, tuple[list[int], list[int]]] = {}
         self.pheromone = PheromoneTable(self.trust_table, cfg.tau_init, cfg.tau_floor)
         self.flow = FlowHistory(n, window=cfg.congestion_window)
 
@@ -181,6 +193,8 @@ class Simulation:
         self.levels: Optional[LevelAssignment] = None
         self._levels_source: Optional[int] = None
         self._levels_dead_count = -1
+        self._source_pool: list[int] = []
+        self._pool_dead_count = -1
         self.metric_rows: list[CycleStats] = []
         self.route_log: list[tuple[int, Packet]] = []
 
@@ -251,13 +265,19 @@ class Simulation:
             if not alive[source]:
                 raise SourceDead(f"fixed source {source} fell below the energy threshold")
             return source
-        # nodes whose alive component currently reaches the base station
-        hops = hops_from(self.topology,
-                         [j for j in self.topology.adjacency[self.bs] if alive[j]], alive)
-        pool = [
-            i for i in range(self.cfg.node_count)
-            if hops[i] is not None and i not in self.faults
-        ]
+        # honest nodes whose alive component reaches the base station; the
+        # alive set only shrinks, so an unchanged dead count means the same pool
+        dead_count = alive.count(False)
+        if self._pool_dead_count != dead_count:
+            hops = hops_from(self.topology,
+                             [j for j in self.topology.adjacency[self.bs] if alive[j]],
+                             alive)
+            self._source_pool = [
+                i for i in range(self.cfg.node_count)
+                if hops[i] is not None and i not in self.faults
+            ]
+            self._pool_dead_count = dead_count
+        pool = self._source_pool
         if not pool:
             raise SourceDead("no alive honest node can reach the base station")
         return self.rng.choice(pool)
@@ -290,7 +310,9 @@ class Simulation:
                         continue
                     if not t_ij > cfg.trust_threshold:
                         continue
-                ci_j = self.ci[j]
+                # flow rows and verdicts change only at the end of a cycle
+                ci_j = (self.flow.congestion_index(j)
+                        if use_tcm and self.node_class[j] == TRUSTED_NODE else 0.0)
             tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = self.pheromone.get(i, j) if self.needs_pheromone else 1.0
@@ -428,30 +450,79 @@ class Simulation:
                 if self.log_routes:
                     self.route_log.append((self.cycle, p))
 
-    def trust_rows(self):
-        """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
-        from the current evidence, energies and levels."""
+    def _trust_inputs(self) -> tuple[list, list[float]]:
+        """Current levels and energies indexed by endpoint id, sink included."""
         cfg = self.cfg
-        n = cfg.node_count
         if self.levels is None:
-            levels = [None] * (n + 1)
+            levels = [None] * (cfg.node_count + 1)
         else:
             levels = [*self.levels.levels, self.levels.bs_level]
         energies = [node.energy for node in self.nodes]
         energies.append(cfg.initial_energy)   # the sink is energy-unbounded
-        adjacency = self.topology.adjacency
-        for i in range(n):
-            yield i, node_trust(self.stats, i, adjacency[i], levels, energies,
-                                cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
-                                cfg.latency_polarity, float(cfg.wc_max))
+        return levels, energies
+
+    def _row_trust(self, i: int, levels: list, energies: list[float]):
+        cfg = self.cfg
+        return node_trust(self.stats, i, self.topology.adjacency[i], levels, energies,
+                          cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
+                          cfg.latency_polarity, float(cfg.wc_max))
+
+    def trust_rows(self):
+        """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
+        from the current evidence, energies and levels: the full computation
+        that ``_recompute_trust`` keeps ``trust_table`` equal to."""
+        levels, energies = self._trust_inputs()
+        for i in range(self.cfg.node_count):
+            yield i, self._row_trust(i, levels, energies)
 
     def _recompute_trust(self) -> None:
+        """Refresh the trust rows whose inputs changed, then the node verdict.
+
+        Row i reads the energies of i and its neighbours, the evidence on its
+        out-links, and how its neighbours with latency evidence group by
+        level. It is recomputed when new evidence has sender i, when i or a
+        neighbour changed energy since the last refresh, or when that
+        grouping changed; every row is computed on the first refresh.
+        """
+        n = self.cfg.node_count
+        adjacency = self.topology.adjacency
+        stats = self.stats
+        levels, energies = self._trust_inputs()
+        senders = stats.take_senders()
+        dirty = set(senders)
+        last = self._trust_energies
+        if last is None:
+            dirty.update(range(n))
+        else:
+            for k in range(n):
+                if energies[k] != last[k]:
+                    dirty.add(k)
+                    dirty.update(adjacency[k])
+            dirty.discard(self.bs)
+
+        # which neighbours of a row have latency evidence changes only with
+        # new evidence; how they group by level, whenever the levels change
+        groups = self._latency_groups
+        for i in senders:
+            nbrs = [j for j in adjacency[i] if stats.link(i, j).latency_count]
+            if nbrs:
+                groups[i] = (nbrs, _level_labels(nbrs, levels))
+            else:
+                groups.pop(i, None)
+        if self.levels is not self._trust_levels:
+            for i, (nbrs, labels) in groups.items():
+                now = _level_labels(nbrs, levels)
+                if now != labels:
+                    dirty.add(i)
+                    groups[i] = (nbrs, now)
+
         table = self.trust_table
-        for i, rows in self.trust_rows():
-            for j, _, _, _, t_ij in rows:
+        for i in dirty:
+            for j, _, _, _, t_ij in self._row_trust(i, levels, energies):
                 table[i, j] = t_ij
-        self.node_class = classify(table, self.stats, self.cfg.trust_threshold,
-                                   self.cfg.node_count)
+        self._trust_energies = energies
+        self._trust_levels = self.levels
+        self.node_class = classify(table, stats, self.cfg.trust_threshold, n)
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
@@ -511,15 +582,9 @@ class Simulation:
             self.pheromone.update_cycle(self._tx_counts, self.topology.distance,
                                         cfg.rho, cfg.pheromone_deposit_scale)
 
-        # 8. refresh trust, classification, and congestion for the next cycle
+        # 8. refresh trust and classification for the next cycle
         if self.needs_trust:
             self._recompute_trust()
-        if self.needs_ci:
-            self.ci = [
-                self.flow.congestion_index(k)
-                if self.node_class.get(k) == TRUSTED_NODE else 0.0
-                for k in range(cfg.node_count)
-            ]
 
         # 9. metrics
         row = CycleStats(

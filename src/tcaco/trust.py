@@ -58,15 +58,23 @@ class TrustStats:
     """All per-link evidence for one simulation instance (single writer).
 
     Only evidence creates a link's record; reading a link without any
-    stores nothing."""
+    stores nothing. Every record also notes its sender until
+    ``take_senders`` hands the noted senders over."""
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
+        self._senders: set[int] = set()
 
     def link(self, i: int, j: int) -> LinkStats:
         return self._links.get((i, j), _NO_EVIDENCE)
 
+    def take_senders(self) -> set[int]:
+        """Senders with new evidence since the last call."""
+        senders, self._senders = self._senders, set()
+        return senders
+
     def _evidence(self, i: int, j: int) -> LinkStats:
+        self._senders.add(i)
         s = self._links.get((i, j))
         if s is None:
             s = self._links[(i, j)] = LinkStats()
@@ -215,14 +223,15 @@ def classify(trust_table: dict[tuple[int, int], float], stats: TrustStats,
     it is trustworthy; a node nobody has sent to stays trusted, and one
     vouching sender is enough. The verdict holds network-wide, so one
     sender's bad experience removes a node from everyone's candidate sets
-    instead of each sender having to learn it separately.
+    instead of each sender having to learn it separately. Only links with
+    evidence are visited; the table is read for those alone.
     """
     evidenced = [False] * (node_count + 1)
     vouched = [False] * (node_count + 1)
-    for (i, j), value in trust_table.items():
-        if stats.link(i, j).packets_sent:
+    for (i, j), link in stats._links.items():
+        if link.packets_sent:
             evidenced[j] = True
-            if value > t_th:
+            if trust_table[i, j] > t_th:
                 vouched[j] = True
     return {
         j: (MALICIOUS_NODE if evidenced[j] and not vouched[j] else TRUSTED_NODE)

@@ -9,9 +9,11 @@ import pytest
 from tcaco import congestion, topology
 from tcaco.cli import build_parser, load_experiment
 from tcaco.config import FaultSpec, SimConfig
-from tcaco.engine import (PROTOCOLS, Simulation, deploy_nodes,
+from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, deploy_nodes,
                           extract_milestones, run_simulation)
 from tcaco.energy import tx_cost
+from tcaco.topology import DisconnectedNetwork
+from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE
 import random
 
 
@@ -24,6 +26,12 @@ def total_counts(metrics):
         dti += r.dropped_timeout
         dma += r.dropped_malicious
     return gen, dele, dov, dti, dma
+
+
+# low battery under a rotating source: nodes die well inside the horizon
+DYING = dict(node_count=30, field_width=120.0, field_height=120.0, packets_per_round=8,
+             max_cycles=200, initial_energy=0.02, source_policy="random_per_round",
+             fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
 
 
 def seen_packets(sim):
@@ -242,6 +250,22 @@ class TestRovingSource:
         assert origins
         assert not origins & set(sim.faults)
 
+    def test_source_pool_is_rebuilt_only_when_a_node_dies(self, monkeypatch):
+        from tcaco import engine
+        searches = []
+
+        def counting_hops_from(*args):
+            searches.append(args)
+            return real_hops_from(*args)
+
+        real_hops_from = engine.hops_from
+        monkeypatch.setattr(engine, "hops_from", counting_hops_from)
+        metrics = Simulation(SimConfig(**DYING), seed=4).run()
+        # the pool is built for the dead count each cycle starts with
+        start_counts = {0, *metrics.dead_counts()[:-1]}
+        assert len(start_counts) > 3
+        assert len(searches) == len(start_counts)
+
     def test_explicit_fault_on_fixed_source_rejected(self):
         cfg = SimConfig(node_count=5, source_node=2, max_cycles=5,
                         bs_position=(40.0, 20.0),
@@ -441,3 +465,61 @@ class TestBoundedState:
         assert spec.config.node_count == 50 and sim.cycle == 400
         growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
         assert growth < 32 * 1024, f"{growth} bytes"
+
+
+def full_verdict(table, stats, t_th, node_count):
+    """The node verdict over every link of the table, evidence or not."""
+    evidenced, vouched = set(), set()
+    for (i, j), t_ij in table.items():
+        if stats.link(i, j).packets_sent:
+            evidenced.add(j)
+            if t_ij > t_th:
+                vouched.add(j)
+    return {j: MALICIOUS_NODE if j in evidenced - vouched else TRUSTED_NODE
+            for j in range(node_count)}
+
+
+class TestIncrementalTrust:
+    """The engine refreshes only trust rows whose inputs changed; after every
+    cycle its table and verdict must equal the full recomputation."""
+
+    GOLDEN_CASES = [f"{protocol}_{mode}" for protocol in ("tc_aco", "trust_greedy")
+                    for mode in ("deterministic_rank", "stochastic_roulette")] + [
+        "fault_drop", "fault_duplicate", "fault_flood", "fault_delay",
+        "literal_polarities", "congestion_window"]
+
+    # light traffic on a wide network: most rows keep their energies and
+    # evidence from one cycle to the next while the rotating source moves
+    # the levels, so only the level-grouping rule catches their changes
+    SPARSE = dict(node_count=60, field_width=300.0, field_height=300.0,
+                  packets_per_round=2, max_cycles=150, source_policy="random_per_round",
+                  fault_spec=(FaultSpec(behavior="delay", fraction=0.2, extra=2),))
+
+    @staticmethod
+    def run_checked(sim):
+        cfg = sim.cfg
+        while sim.cycle < cfg.max_cycles:
+            try:
+                sim.run_cycle()
+            except (SourceDead, DisconnectedNetwork):
+                break
+            full = {(i, j): t_ij for i, rows in sim.trust_rows()
+                    for j, _, _, _, t_ij in rows}
+            assert sim.trust_table == full, sim.cycle
+            assert sim.node_class == full_verdict(full, sim.stats, cfg.trust_threshold,
+                                                  cfg.node_count), sim.cycle
+        return sim
+
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    def test_golden_case_matches_full_recompute(self, name):
+        from test_golden import case_simulation
+        sim = self.run_checked(case_simulation(name))
+        assert sim.cycle > 10
+
+    def test_sparse_traffic_matches_full_recompute(self):
+        sim = self.run_checked(Simulation(SimConfig(**self.SPARSE), seed=3))
+        assert sim.cycle == 150
+
+    def test_run_where_nodes_die_matches_full_recompute(self):
+        sim = self.run_checked(Simulation(SimConfig(**DYING), seed=4))
+        assert sum(not node.alive for node in sim.nodes) >= 5
