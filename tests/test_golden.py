@@ -2,8 +2,9 @@
 
 One small run per protocol and forwarding mode, one per fault behaviour,
 one with both literal polarities, and one with a rolling congestion
-window, plus the trust dump of one tc_aco run. Refactors must leave every file byte-identical; a change that alters
-one must say why in CHANGES.md.
+window, plus the trust dump of one tc_aco run and the route dump of the
+delay-fault run. Refactors must leave every file byte-identical; a change
+that alters one must say why in CHANGES.md.
 
 Run this module as a script to record goldens that do not exist yet;
 existing files are never overwritten.
@@ -16,7 +17,7 @@ import pytest
 
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import PROTOCOLS, Simulation
-from tcaco.output import per_cycle_csv_text, trust_dump_text
+from tcaco.output import per_cycle_csv_text, route_dump_text, trust_dump_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -50,11 +51,15 @@ CASES = {
 
 TRUST_DUMP_CASE = "tc_aco_deterministic_rank"
 TRUST_DUMP_GOLDEN = "tc_aco_trust_dump.csv"
+# no flood faults, so every terminal packet had been queued somewhere
+ROUTE_DUMP_CASE = "fault_delay"
+ROUTE_DUMP_GOLDEN = "fault_delay_routes.txt"
 
 
-def case_simulation(name: str) -> Simulation:
+def case_simulation(name: str, log_routes: bool = False) -> Simulation:
     protocol, overrides = CASES[name]
-    return Simulation(SimConfig(**{**BASE, **overrides}), protocol=protocol)
+    return Simulation(SimConfig(**{**BASE, **overrides}), protocol=protocol,
+                      log_routes=log_routes)
 
 
 def case_csv_text(name: str) -> str:
@@ -65,6 +70,12 @@ def trust_dump_golden_text() -> str:
     sim = case_simulation(TRUST_DUMP_CASE)
     sim.run()
     return trust_dump_text(sim)
+
+
+def route_dump_golden_text() -> str:
+    sim = case_simulation(ROUTE_DUMP_CASE, log_routes=True)
+    sim.run()
+    return route_dump_text(sim)
 
 
 def read_golden(filename: str) -> str:
@@ -82,9 +93,14 @@ def test_trust_dump_matches_golden():
     assert trust_dump_golden_text() == read_golden(TRUST_DUMP_GOLDEN)
 
 
+def test_route_dump_matches_golden():
+    assert route_dump_golden_text() == read_golden(ROUTE_DUMP_GOLDEN)
+
+
 def record_missing() -> None:
     goldens = {f"{name}.csv": partial(case_csv_text, name) for name in CASES}
     goldens[TRUST_DUMP_GOLDEN] = trust_dump_golden_text
+    goldens[ROUTE_DUMP_GOLDEN] = route_dump_golden_text
     for filename, render in sorted(goldens.items()):
         path = os.path.join(GOLDEN_DIR, filename)
         if os.path.exists(path):
