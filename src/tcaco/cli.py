@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .config import (ConfigError, ParseError, SimConfig, config_from_dict,
-                     validate_config)
+                     read_json_object, validate_config)
 from .engine import PROTOCOLS, SimMetrics, Simulation
 from .output import (per_cycle_csv_text, route_dump_text, summary_json_text,
                      trust_dump_text)
@@ -48,18 +47,7 @@ def _default_out_dir() -> str:
 def load_experiment(path: str | None, args: argparse.Namespace | None = None,
                     ) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON file plus flag overrides."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        except OSError as exc:
-            raise ParseError(f"{path}: {exc.strerror}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(f"{path}: top-level value must be an object")
-
+    raw = {} if path is None else read_json_object(path)
     exp = {key: raw.pop(key) for key in list(_EXPERIMENT_KEYS) if key in raw}
     cfg = config_from_dict(raw)
 

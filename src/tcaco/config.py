@@ -262,16 +262,23 @@ def config_from_dict(data: dict) -> SimConfig:
     return SimConfig(**kwargs)
 
 
-def load_config(path: str, **overrides) -> SimConfig:
-    """Load a SimConfig from a JSON file; keyword overrides win over file values."""
+def read_json_object(path: str) -> dict:
+    """The JSON object in the file at ``path``; any failure is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top-level value must be an object")
-    cfg = config_from_dict(data)
+    return data
+
+
+def load_config(path: str, **overrides) -> SimConfig:
+    """Load a SimConfig from a JSON file; keyword overrides win over file values."""
+    cfg = config_from_dict(read_json_object(path))
     if overrides:
         cfg = replace(cfg, **overrides)
     return validate_config(cfg)

@@ -1,4 +1,4 @@
-"""Bounded FIFO node queues, wait-cycle timeouts, and the congestion index.
+"""Bounded FIFO node queues, queue-stamp timeouts, and the congestion index.
 
 The congestion index of a node compares how much traffic it absorbs
 (average inflow plus free buffer space) against how much it drains
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .model import DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
+from .model import Packet
 
 
 class InsufficientHistory(ValueError):
@@ -40,35 +40,26 @@ class NodeQueue:
         return max(0, self.capacity - len(self.entries))
 
 
-def enqueue(queue: NodeQueue, packet: Packet) -> bool:
-    """Append with a reset wait counter; on overflow the packet is dropped."""
+def enqueue(queue: NodeQueue, packet: Packet, cycle: int) -> bool:
+    """Append the packet stamped with ``cycle``; False when the queue is full."""
     if queue.full:
-        packet.resolve(DROPPED_OVERFLOW)
         return False
-    packet.wait_cycles = 0
+    packet.queued_at = cycle
     queue.entries.append(packet)
     return True
 
 
-def tick_wait_and_drop(queue: NodeQueue, wc_max: int) -> list[Packet]:
-    """Age every queued packet by one cycle; call exactly once per cycle.
+def tick_wait_and_drop(queue: NodeQueue, cycle: int, wc_max: int) -> list[Packet]:
+    """Remove and return the packets queued ``wc_max`` or more cycles before ``cycle``.
 
-    Packets that have already waited ``wc_max`` cycles are removed and
-    returned with the timeout fate. Delay holds expire on the same clock.
+    Packets are only appended, with the current cycle, and never reordered,
+    so the expired ones are always at the front.
     """
-    survivors: deque[Packet] = deque()
-    dropped: list[Packet] = []
-    for packet in queue.entries:
-        if packet.hold_cycles > 0:
-            packet.hold_cycles -= 1
-        if packet.wait_cycles >= wc_max:
-            packet.resolve(DROPPED_TIMEOUT)
-            dropped.append(packet)
-        else:
-            packet.wait_cycles += 1
-            survivors.append(packet)
-    queue.entries = survivors
-    return dropped
+    entries = queue.entries
+    expired: list[Packet] = []
+    while entries and cycle - entries[0].queued_at >= wc_max:
+        expired.append(entries.popleft())
+    return expired
 
 
 class FlowHistory:

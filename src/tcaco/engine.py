@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
-from .model import DELIVERED, DROPPED_MALICIOUS, NodeState, Packet
+from .model import (DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT,
+                    NodeState, Packet)
 from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
@@ -33,55 +34,47 @@ class SourceDead(RuntimeError):
 
 MILESTONE_PERCENTAGES = (1, 10, 20, 30, 40, 50, 60)
 
-PROTOCOLS = ("tc_aco", "dist_aco", "trust_greedy", "naive_minhop")
-
-
-@dataclass(frozen=True)
-class ProtocolPolicy:
-    """What a routing protocol looks at when scoring candidates."""
-
-    name: str
-    trust_filter: bool   # drop candidates failing the trust test
-
-
-_POLICIES = {
+# Per protocol: whether it drops candidates failing the trust test, and its
+# betas (trust-congestion, distance, pheromone) under a config.
+_PROTOCOL_TABLE = {
     # Full pipeline: trust filter plus trust-congestion, distance, pheromone.
-    "tc_aco": ProtocolPolicy("tc_aco", trust_filter=True),
+    "tc_aco": (True, lambda cfg: (cfg.beta1, cfg.beta2, cfg.beta3)),
     # Pheromone and distance only; routes straight through malicious nodes.
-    "dist_aco": ProtocolPolicy("dist_aco", trust_filter=False),
+    "dist_aco": (False, lambda cfg: (0.0, cfg.beta2, cfg.beta3)),
     # Trust-filtered greedy nearest neighbor; no pheromone, no congestion.
-    "trust_greedy": ProtocolPolicy("trust_greedy", trust_filter=True),
+    "trust_greedy": (True, lambda cfg: (0.0, 1.0, 0.0)),
     # Greedy nearest neighbor, blind to trust and congestion.
-    "naive_minhop": ProtocolPolicy("naive_minhop", trust_filter=False),
+    "naive_minhop": (False, lambda cfg: (0.0, 1.0, 0.0)),
 }
 
+PROTOCOLS = tuple(_PROTOCOL_TABLE)
 
-def get_policy(protocol: str, cfg: SimConfig) -> tuple[ProtocolPolicy, tuple[float, float, float]]:
-    if protocol not in _POLICIES:
+
+def get_policy(protocol: str, cfg: SimConfig) -> tuple[bool, tuple[float, float, float]]:
+    """The trust filter flag and the betas of ``protocol`` under ``cfg``."""
+    if protocol not in _PROTOCOL_TABLE:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    betas = {
-        "tc_aco": (cfg.beta1, cfg.beta2, cfg.beta3),
-        "dist_aco": (0.0, cfg.beta2, cfg.beta3),
-        "trust_greedy": (0.0, 1.0, 0.0),
-        "naive_minhop": (0.0, 1.0, 0.0),
-    }[protocol]
-    return _POLICIES[protocol], betas
+    trust_filter, betas = _PROTOCOL_TABLE[protocol]
+    return trust_filter, betas(cfg)
 
 
 @dataclass
 class CycleStats:
-    """Per-cycle increments plus end-of-cycle levels."""
+    """Per-cycle increments plus end-of-cycle levels.
+
+    The terminal fates of ``model`` name the fields their counts go to.
+    """
 
     cycle: int
-    generated: int
-    delivered: int
-    dropped_overflow: int
-    dropped_timeout: int
-    dropped_malicious: int
-    dead_nodes: int
-    total_energy_j: float
-    in_flight: int
-    forwarded_to_malicious: int
+    generated: int = 0
+    delivered: int = 0
+    dropped_overflow: int = 0
+    dropped_timeout: int = 0
+    dropped_malicious: int = 0
+    dead_nodes: int = 0
+    total_energy_j: float = 0.0
+    in_flight: int = 0
+    forwarded_to_malicious: int = 0
 
 
 @dataclass
@@ -143,9 +136,9 @@ class Simulation:
                  positions: Optional[Sequence[tuple[float, float]]] = None):
         validate_config(cfg)
         self.cfg = cfg
-        self.policy, self.betas = get_policy(protocol, cfg)
+        self.trust_filter, self.betas = get_policy(protocol, cfg)
         self.protocol = protocol
-        self.needs_trust = self.policy.trust_filter or self.betas[0] > 0
+        self.needs_trust = self.trust_filter or self.betas[0] > 0
         self.needs_pheromone = self.betas[2] != 0
         self.seed = cfg.rng_seed if seed is None else seed
         self.rng = random.Random(self.seed)
@@ -196,10 +189,8 @@ class Simulation:
         self._source_pool: list[int] = []
         self._pool_dead_count = -1
         self.metric_rows: list[CycleStats] = []
-        self.route_log: list[tuple[int, Packet]] = []
-
-        # running counters for the cycle in progress
-        self._reset_cycle_counters()
+        # one rendered line per terminal packet, when routes are logged
+        self.route_log: list[str] = []
 
     # ------------------------------------------------------------------ setup
 
@@ -238,23 +229,21 @@ class Simulation:
 
     # ------------------------------------------------------------ cycle steps
 
-    def _reset_cycle_counters(self) -> None:
-        n = self.cfg.node_count
-        self._gen = 0
-        self._delivered = 0
-        self._drop_overflow = 0
-        self._drop_timeout = 0
-        self._drop_malicious = 0
-        self._fwd_malicious = 0
-        self._inflow_now = [0] * n
-        self._outflow_now = [0] * n
-        self._tx_counts: dict[tuple[int, int], int] = {}
-
     def _new_packet(self, origin: int, fake: bool = False) -> Packet:
         p = Packet(self._next_pid, origin, self.cycle, fake=fake)
         self._next_pid += 1
-        self._gen += 1
+        self._row.generated += 1
         return p
+
+    def _finish(self, p: Packet, fate: str) -> None:
+        """End a packet: resolve it, count it in this cycle's row and, when
+        routes are logged, keep its line: cycle, id, fate, hop trail."""
+        p.resolve(fate)
+        row = self._row
+        setattr(row, fate, getattr(row, fate) + 1)
+        if self.log_routes:
+            trail = ">".join(map(str, p.hop_trail))
+            self.route_log.append(f"{self.cycle}\t{p.id}\t{fate}\t{trail}")
 
     def _alive_flags(self) -> list[bool]:
         return [node.alive for node in self.nodes]
@@ -305,7 +294,7 @@ class Simulation:
                 if levels[j] != level_i + 1:
                     continue
                 t_ij = self.trust_table[i, j]
-                if self.policy.trust_filter:
+                if self.trust_filter:
                     if self.node_class.get(j) == MALICIOUS_NODE:
                         continue
                     if not t_ij > cfg.trust_threshold:
@@ -349,14 +338,10 @@ class Simulation:
         if j == self.bs:
             p.record_hop(j)
             if p.fake:
-                p.resolve(DROPPED_MALICIOUS)
-                self._drop_malicious += 1
+                self._finish(p, DROPPED_MALICIOUS)
             else:
-                p.resolve(DELIVERED)
-                self._delivered += 1
+                self._finish(p, DELIVERED)
                 self._record_delivery_latency(p)
-            if self.log_routes:
-                self.route_log.append((self.cycle, p))
             # the sink acknowledges everything it absorbs
             self.stats.record_ack(i, j)
             if self.ack_bits:
@@ -367,7 +352,7 @@ class Simulation:
         receiver = self.nodes[j]
         behavior = self.faults.get(j)
         if behavior is not None:
-            self._fwd_malicious += 1
+            self._row.forwarded_to_malicious += 1
         radio.debit(receiver, radio.rx_cost(self.packet_bits, self.radio_params))
 
         if behavior is not None and behavior.behavior == "drop":
@@ -383,8 +368,9 @@ class Simulation:
 
         p.record_hop(j)
         if behavior is not None and behavior.behavior == "delay":
-            p.hold_cycles = behavior.extra
-        enqueue(self.queues[j], p)
+            p.held_until = self.cycle + behavior.extra
+        # j was admissible, so its queue has room
+        enqueue(self.queues[j], p, self.cycle)
 
         if behavior is not None and behavior.behavior == "duplicate":
             for _ in range(behavior.copies - 1):
@@ -392,7 +378,7 @@ class Simulation:
                     break
                 clone = self._new_packet(p.origin, fake=True)
                 clone.hop_trail = list(p.hop_trail)
-                enqueue(self.queues[j], clone)
+                enqueue(self.queues[j], clone, self.cycle)
         return True
 
     def _forward_from(self, i: int, level_i: int) -> None:
@@ -408,11 +394,12 @@ class Simulation:
         limit = cfg.per_cycle_forward_limit
         max_attempts = cfg.max_transfer_attempts
 
+        cycle = self.cycle
         forwarded = 0
         for p in list(queue.entries):
             if limit is not None and forwarded >= limit:
                 break
-            if p.hold_cycles > 0:
+            if p.held_until > cycle:
                 continue
             # retry loop: an unacknowledged transfer keeps the packet here and
             # burns one of its attempts; there is no cross-packet memory of
@@ -432,23 +419,20 @@ class Simulation:
                 p.transfer_failures += 1
                 if p.transfer_failures >= max_attempts:
                     queue.entries.remove(p)
-                    p.resolve(DROPPED_MALICIOUS)
-                    self._drop_malicious += 1
-                    if self.log_routes:
-                        self.route_log.append((self.cycle, p))
+                    self._finish(p, DROPPED_MALICIOUS)
                     break
 
     def _age_queues(self) -> None:
-        wc_max = self.cfg.wc_max
-        for k in range(self.cfg.node_count):
-            for p in tick_wait_and_drop(self.queues[k], wc_max):
-                self._drop_timeout += 1
+        cycle, wc_max = self.cycle, self.cfg.wc_max
+        for queue in self.queues:
+            if not queue.entries:
+                continue
+            for p in tick_wait_and_drop(queue, cycle, wc_max):
+                self._finish(p, DROPPED_TIMEOUT)
                 trail = p.hop_trail
                 if len(trail) >= 2:
                     # the holder sat on this packet until it died
                     self.stats.record_latency(trail[-2], trail[-1], self.latency_penalty)
-                if self.log_routes:
-                    self.route_log.append((self.cycle, p))
 
     def _trust_inputs(self) -> tuple[list, list[float]]:
         """Current levels and energies indexed by endpoint id, sink included."""
@@ -528,7 +512,11 @@ class Simulation:
         """Advance the simulation by one cycle and return its statistics."""
         cfg = self.cfg
         self.cycle += 1
-        self._reset_cycle_counters()
+        # the cycle in progress: its row, its flows and its transfers per link
+        row = self._row = CycleStats(self.cycle)
+        self._inflow_now = [0] * cfg.node_count
+        self._outflow_now = [0] * cfg.node_count
+        self._tx_counts: dict[tuple[int, int], int] = {}
 
         alive = self._alive_flags()
         source = self._pick_source(alive)
@@ -559,8 +547,8 @@ class Simulation:
                 radio.debit(self.nodes[k],
                             radio.rx_cost(self.packet_bits, self.radio_params))
                 self._inflow_now[k] += 1
-                if not enqueue(self.queues[k], fake):
-                    self._drop_overflow += 1
+                if not enqueue(self.queues[k], fake, self.cycle):
+                    self._finish(fake, DROPPED_OVERFLOW)
 
         # 3./4. forwarding sweep, levels ascending, node ids ascending
         levels = self.levels.levels
@@ -587,18 +575,9 @@ class Simulation:
             self._recompute_trust()
 
         # 9. metrics
-        row = CycleStats(
-            cycle=self.cycle,
-            generated=self._gen,
-            delivered=self._delivered,
-            dropped_overflow=self._drop_overflow,
-            dropped_timeout=self._drop_timeout,
-            dropped_malicious=self._drop_malicious,
-            dead_nodes=sum(1 for node in self.nodes if not node.alive),
-            total_energy_j=sum(node.energy for node in self.nodes),
-            in_flight=sum(len(q) for q in self.queues),
-            forwarded_to_malicious=self._fwd_malicious,
-        )
+        row.dead_nodes = sum(1 for node in self.nodes if not node.alive)
+        row.total_energy_j = sum(node.energy for node in self.nodes)
+        row.in_flight = sum(len(q) for q in self.queues)
         self.metric_rows.append(row)
         return row
 

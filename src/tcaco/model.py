@@ -14,33 +14,30 @@ TERMINAL_FATES = (DELIVERED, DROPPED_OVERFLOW, DROPPED_TIMEOUT, DROPPED_MALICIOU
 
 
 class Packet:
-    """A routable data unit: origin, hop trail, wait counter, and fate.
+    """A routable data unit: origin, hop trail, queue and hold stamps, and fate.
 
-    ``fake`` marks traffic that must never earn delivery credit (flood
-    injections and duplicate clones); it still loads queues and radios.
+    ``queued_at`` is the cycle the packet entered its current queue and
+    ``held_until`` the cycle a delay hold ends. ``fake`` marks traffic that
+    must never earn delivery credit (flood injections and duplicate clones);
+    it still loads queues and radios.
     """
 
-    __slots__ = ("id", "origin", "hop_trail", "wait_cycles", "hold_cycles",
+    __slots__ = ("id", "origin", "hop_trail", "queued_at", "held_until",
                  "created_cycle", "fate", "fake", "transfer_failures")
 
     def __init__(self, pid: int, origin: int, created_cycle: int, fake: bool = False):
         self.id = pid
         self.origin = origin
         self.hop_trail: list[int] = [origin]
-        self.wait_cycles = 0
-        self.hold_cycles = 0
+        self.queued_at = created_cycle
+        self.held_until = created_cycle
         self.created_cycle = created_cycle
         self.fate = IN_FLIGHT
         self.fake = fake
         self.transfer_failures = 0
 
-    @property
-    def current_holder(self) -> int:
-        return self.hop_trail[-1]
-
     def record_hop(self, node_id: int) -> None:
         self.hop_trail.append(node_id)
-        self.wait_cycles = 0
 
     def resolve(self, fate: str) -> None:
         """Move to a terminal fate; transitions are monotone (exactly one)."""
@@ -52,7 +49,7 @@ class Packet:
 
     def __repr__(self) -> str:
         return (f"Packet(id={self.id}, origin={self.origin}, "
-                f"holder={self.current_holder}, fate={self.fate})")
+                f"holder={self.hop_trail[-1]}, fate={self.fate})")
 
 
 class NodeState:

@@ -104,8 +104,4 @@ def trust_dump_text(sim: Simulation) -> str:
 
 def route_dump_text(sim: Simulation) -> str:
     """One line per packet that reached a terminal fate: cycle, id, fate, trail."""
-    lines = []
-    for cycle, packet in sim.route_log:
-        trail = ">".join(str(h) for h in packet.hop_trail)
-        lines.append(f"{cycle}\t{packet.id}\t{packet.fate}\t{trail}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{line}\n" for line in sim.route_log)

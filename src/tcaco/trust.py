@@ -162,6 +162,10 @@ def compute_trust(ne: float, ptr: float, pl: float,
     total = a1 + a2 + a3
     if total == 0:
         raise ZeroWeights("a1 + a2 + a3 must be positive")
+    if total < 1e-300:
+        # products with weights this small underflow; a power of two scales exactly
+        a1, a2, a3 = a1 * 2.0 ** 1000, a2 * 2.0 ** 1000, a3 * 2.0 ** 1000
+        total = a1 + a2 + a3
     return (a1 * ne + a2 * ptr + a3 * pl) / total
 
 

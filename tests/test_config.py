@@ -96,6 +96,11 @@ def test_malformed_json_reports_line(tmp_path):
         load_config(str(path))
 
 
+def test_missing_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="absent.json"):
+        load_config(str(tmp_path / "absent.json"))
+
+
 def test_fault_entries_parse_from_dict():
     cfg = config_from_dict({
         "fault_spec": [

@@ -1,4 +1,4 @@
-"""Queues, wait-cycle aging, flow averages, and the congestion index."""
+"""Queues, queue-stamp timeouts, flow averages, and the congestion index."""
 
 import random
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcaco.congestion import (FlowHistory, InsufficientHistory, NodeQueue,
                               enqueue, tick_wait_and_drop)
-from tcaco.model import DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
+from tcaco.model import IN_FLIGHT, Packet
 
 
 def pkt(pid=0):
@@ -17,30 +17,30 @@ def pkt(pid=0):
 class TestQueue:
     def test_enqueue_into_empty(self):
         q = NodeQueue(10)
-        assert enqueue(q, pkt())
+        assert enqueue(q, pkt(), 1)
         assert len(q) == 1
 
-    def test_overflow_rejected_with_fate(self):
+    def test_overflow_rejected_without_fate(self):
         q = NodeQueue(1)
-        assert enqueue(q, pkt(0))
+        assert enqueue(q, pkt(0), 1)
         p2 = pkt(1)
-        assert not enqueue(q, p2)
-        assert p2.fate == DROPPED_OVERFLOW
+        assert not enqueue(q, p2, 1)
+        assert p2.fate == IN_FLIGHT   # the caller decides the packet's end
         assert len(q) == 1
 
     def test_reset_wait_on_enqueue(self):
+        # the wait restarts at the cycle the packet is queued
         q = NodeQueue(4)
         p = pkt()
-        p.wait_cycles = 2
-        enqueue(q, p)
-        assert p.wait_cycles == 0
+        enqueue(q, p, 5)
+        assert p.queued_at == 5
 
     def test_fifo_order_preserved(self):
         q = NodeQueue(5)
         packets = [pkt(k) for k in range(4)]
         for p in packets:
-            enqueue(q, p)
-        tick_wait_and_drop(q, wc_max=3)
+            enqueue(q, p, 1)
+        tick_wait_and_drop(q, 1, wc_max=3)
         assert [p.id for p in q.entries] == [0, 1, 2, 3]
 
 
@@ -48,40 +48,39 @@ class TestTick:
     def test_below_horizon_retained(self):
         q = NodeQueue(5)
         p = pkt()
-        enqueue(q, p)
-        p.wait_cycles = 2
-        dropped = tick_wait_and_drop(q, wc_max=3)
+        enqueue(q, p, 1)
+        dropped = tick_wait_and_drop(q, 3, wc_max=3)   # waited 2 cycles
         assert dropped == []
-        assert p.wait_cycles == 3
+        assert list(q.entries) == [p]
+        assert p.queued_at == 1   # ageing leaves survivors untouched
 
     def test_at_horizon_dropped(self):
         q = NodeQueue(5)
         p = pkt()
-        enqueue(q, p)
-        p.wait_cycles = 3
-        dropped = tick_wait_and_drop(q, wc_max=3)
+        enqueue(q, p, 1)
+        dropped = tick_wait_and_drop(q, 4, wc_max=3)   # waited 3 cycles
         assert dropped == [p]
-        assert p.fate == DROPPED_TIMEOUT
+        assert p.fate == IN_FLIGHT   # the caller decides the packet's end
         assert len(q) == 0
 
     def test_empty_queue_returns_nothing(self):
-        assert tick_wait_and_drop(NodeQueue(3), wc_max=3) == []
+        assert tick_wait_and_drop(NodeQueue(3), 1, wc_max=3) == []
 
     def test_wait_never_exceeds_horizon(self):
         q = NodeQueue(8)
-        for k in range(6):
-            enqueue(q, pkt(k))
-        for _ in range(10):
-            tick_wait_and_drop(q, wc_max=3)
-            assert all(p.wait_cycles <= 3 for p in q.entries)
+        for cycle in range(1, 11):
+            enqueue(q, pkt(cycle), cycle)
+            expired = tick_wait_and_drop(q, cycle, wc_max=3)
+            assert all(cycle - p.queued_at == 3 for p in expired)
+            assert all(cycle - p.queued_at < 3 for p in q.entries)
 
-    def test_hold_counts_down(self):
+    def test_hold_stamp_untouched(self):
         q = NodeQueue(5)
         p = pkt()
-        p.hold_cycles = 2
-        enqueue(q, p)
-        tick_wait_and_drop(q, wc_max=5)
-        assert p.hold_cycles == 1
+        p.held_until = 3
+        enqueue(q, p, 1)
+        tick_wait_and_drop(q, 2, wc_max=5)
+        assert p.held_until == 3
 
 
 def history_from(inflows, outflows, frees):

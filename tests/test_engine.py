@@ -3,6 +3,7 @@ bounded stored state."""
 
 import os
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,20 +13,23 @@ from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, deploy_nodes,
                           extract_milestones, run_simulation)
 from tcaco.energy import tx_cost
+from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
+from tcaco.output import route_dump_text
 from tcaco.topology import DisconnectedNetwork
 from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE
 import random
 
 
-def total_counts(metrics):
-    gen = dele = dov = dti = dma = 0
+def conserved_totals(metrics):
+    """Cumulative generated count and count per terminal fate after the last
+    row; every row must satisfy generated = delivered + drops + in-flight."""
+    totals = dict.fromkeys(("generated", *TERMINAL_FATES), 0)
     for r in metrics.cycles:
-        gen += r.generated
-        dele += r.delivered
-        dov += r.dropped_overflow
-        dti += r.dropped_timeout
-        dma += r.dropped_malicious
-    return gen, dele, dov, dti, dma
+        for name in totals:
+            totals[name] += getattr(r, name)
+        ended = sum(totals[fate] for fate in TERMINAL_FATES)
+        assert totals["generated"] == ended + r.in_flight, f"cycle {r.cycle}"
+    return totals
 
 
 # low battery under a rotating source: nodes die well inside the horizon
@@ -34,22 +38,20 @@ DYING = dict(node_count=30, field_width=120.0, field_height=120.0, packets_per_r
              fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
 
 
+def route_lines(sim):
+    """(id, fate, hop trail) of each line of the route dump."""
+    lines = []
+    for line in route_dump_text(sim).splitlines():
+        _, pid, fate, trail = line.split("\t")
+        lines.append((int(pid), fate, [int(h) for h in trail.split(">")]))
+    return lines
+
+
 def seen_packets(sim):
-    """Every packet that reached a terminal fate other than overflow, or is
-    still queued; needs ``log_routes=True``."""
-    return ([p for _, p in sim.route_log]
-            + [p for q in sim.queues for p in q.entries])
-
-
-def assert_conserved(metrics):
-    gen = dele = dov = dti = dma = 0
-    for r in metrics.cycles:
-        gen += r.generated
-        dele += r.delivered
-        dov += r.dropped_overflow
-        dti += r.dropped_timeout
-        dma += r.dropped_malicious
-        assert gen == dele + dov + dti + dma + r.in_flight, f"cycle {r.cycle}"
+    """(id, fate, hop trail) of every packet that reached a terminal fate,
+    from the route dump, or is still queued; needs ``log_routes=True``."""
+    return route_lines(sim) + [(p.id, p.fate, p.hop_trail)
+                               for q in sim.queues for p in q.entries]
 
 
 class TestDeployment:
@@ -128,11 +130,10 @@ class TestDropRelay:
 
     def test_no_alternative_blackhole_kills_delivery(self):
         sim = self.chain()
-        metrics = sim.run()
-        gen, dele, dov, dti, dma = total_counts(metrics)
-        assert dele == 0
-        assert dma > 0 or dti > 0  # abandoned after retries or aged out
-        assert_conserved(metrics)
+        totals = conserved_totals(sim.run())
+        assert totals["delivered"] == 0
+        # abandoned after retries or aged out
+        assert totals["dropped_malicious"] > 0 or totals["dropped_timeout"] > 0
 
     def test_ack_ratio_converges_to_zero(self):
         sim = self.chain()
@@ -161,10 +162,9 @@ class TestFaultBehaviors:
             assert row.generated == 23
             assert row.delivered == 20
             assert row.dropped_overflow == 3  # bounced off the packed buffer
-        assert_conserved(metrics)
+        conserved_totals(metrics)
 
     def test_flood_can_starve_a_relay_without_delivery_credit(self):
-        from tcaco.model import DELIVERED
         # 12 fakes per cycle into a 10-slot relay: two overflow every cycle,
         # the rest monopolize the buffer ahead of the real traffic
         cfg = SimConfig(node_count=3, radio_range=35.0, bs_position=(60.0, 0.0),
@@ -176,13 +176,13 @@ class TestFaultBehaviors:
         metrics = sim.run()
         for row in metrics.cycles:
             assert row.dropped_overflow == 2
-        gen, dele, dov, dti, dma = total_counts(metrics)
-        assert dele == 0          # the attack starves the only route
-        assert dma > 0            # absorbed fakes earn no delivery credit
-        packets = seen_packets(sim)
-        assert any(p.fake for p in packets)
-        assert not any(p.fake and p.fate == DELIVERED for p in packets)
-        assert_conserved(metrics)
+        totals = conserved_totals(metrics)
+        assert totals["delivered"] == 0          # the attack starves the only route
+        assert totals["dropped_malicious"] > 0   # absorbed fakes earn no delivery credit
+        # the fakes are the packets that originate at the flood node
+        fakes = [fate for _, fate, trail in seen_packets(sim) if trail[0] == 2]
+        assert fakes
+        assert "delivered" not in fakes
         # the attacker pays transmission energy for every emitted fake
         assert sim.nodes[2].energy < cfg.initial_energy
 
@@ -192,10 +192,9 @@ class TestFaultBehaviors:
                         fault_spec=(FaultSpec(behavior="duplicate", nodes=(1,), copies=3),))
         sim = Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0)])
         metrics = sim.run()
-        gen, dele, dov, dti, dma = total_counts(metrics)
-        assert gen > metrics.cycles[-1].cycle * 4  # clones inflate generation
-        assert dele == 4 * len(metrics.cycles)     # only originals count
-        assert_conserved(metrics)
+        totals = conserved_totals(metrics)
+        assert totals["generated"] > metrics.cycles[-1].cycle * 4  # clones inflate generation
+        assert totals["delivered"] == 4 * len(metrics.cycles)     # only originals count
 
     def test_delay_holds_packets_for_extra_cycles(self):
         cfg = SimConfig(node_count=2, radio_range=35.0, bs_position=(60.0, 0.0),
@@ -246,7 +245,8 @@ class TestRovingSource:
                         fault_spec=(FaultSpec(behavior="drop", fraction=0.3, p=1.0),))
         sim = Simulation(cfg, log_routes=True)
         sim.run()
-        origins = {p.origin for p in seen_packets(sim) if not p.fake}
+        # drop faults create no fakes: every packet was generated by a source
+        origins = {trail[0] for _, _, trail in seen_packets(sim)}
         assert origins
         assert not origins & set(sim.faults)
 
@@ -308,17 +308,18 @@ class TestPerNodeLedger:
         accepted = Counter()
         departed = Counter()
         terminal = Counter()
-        # overflow drops were refused at the door and never sat in any
-        # queue; every other packet generated is seen exactly once
+        # every packet generated is seen exactly once
         packets = seen_packets(sim)
-        gen, _, overflow, _, _ = total_counts(metrics)
-        assert len({p.id for p in packets}) == len(packets) == gen - overflow
-        for p in packets:
-            trail = p.hop_trail
+        totals = conserved_totals(metrics)
+        assert len({pid for pid, _, _ in packets}) == len(packets) == totals["generated"]
+        assert totals[DROPPED_OVERFLOW] > 0
+        for _, fate, trail in packets:
+            if fate == DROPPED_OVERFLOW:
+                continue   # refused at the door, never queued anywhere
             accepted.update(h for h in trail if h != bs)
             for a, _ in zip(trail, trail[1:]):
                 departed[a] += 1
-            if p.fate in ("dropped_timeout", "dropped_malicious") and trail[-1] != bs:
+            if fate in ("dropped_timeout", "dropped_malicious") and trail[-1] != bs:
                 terminal[trail[-1]] += 1
         for k in range(cfg.node_count):
             assert accepted[k] == departed[k] + terminal[k] + len(sim.queues[k]), k
@@ -361,14 +362,7 @@ class TestLiteralPolarities:
                         fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
         metrics = run_simulation(cfg, seed=8)
         assert len(metrics.cycles) > 0
-        gen = dele = dov = dti = dma = 0
-        for r in metrics.cycles:
-            gen += r.generated
-            dele += r.delivered
-            dov += r.dropped_overflow
-            dti += r.dropped_timeout
-            dma += r.dropped_malicious
-            assert gen == dele + dov + dti + dma + r.in_flight
+        conserved_totals(metrics)
 
 
 class TestConservationSmall:
@@ -378,7 +372,7 @@ class TestConservationSmall:
                                     FaultSpec(behavior="flood", fraction=0.1, rate=2),
                                     FaultSpec(behavior="delay", fraction=0.1, extra=1)))
         metrics = run_simulation(cfg, seed=13)
-        assert_conserved(metrics)
+        conserved_totals(metrics)
         energies = [r.total_energy_j for r in metrics.cycles]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
         deads = [r.dead_nodes for r in metrics.cycles]
@@ -465,6 +459,54 @@ class TestBoundedState:
         assert spec.config.node_count == 50 and sim.cycle == 400
         growth = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
         assert growth < 32 * 1024, f"{growth} bytes"
+
+
+class TestRouteLog:
+    """One storm-benchmark job (dist_aco, n=100, 300 cycles, seed 9): flood
+    faults overflow their victims' buffers, and 37,738 packets end."""
+
+    STORM = dict(node_count=100, source_policy="random_per_round",
+                 forwarding_mode="stochastic_roulette", packets_per_round=100,
+                 max_cycles=300,
+                 fault_spec=(FaultSpec(behavior="flood", fraction=0.05, rate=4),
+                             FaultSpec(behavior="duplicate", fraction=0.05, copies=3),
+                             FaultSpec(behavior="delay", fraction=0.05, extra=2),
+                             FaultSpec(behavior="drop", fraction=0.05, p=0.5)))
+
+    @pytest.fixture(scope="class")
+    def storm(self):
+        """The job's metrics and route lines, the lines logged over its last
+        50 cycles, and the bytes those lines hold (what deleting them frees,
+        traced while they were made)."""
+        sim = Simulation(SimConfig(**self.STORM), protocol="dist_aco", seed=9,
+                         log_routes=True)
+        for _ in range(250):
+            sim.run_cycle()
+        before = len(sim.route_log)
+        tracemalloc.start()
+        try:
+            metrics = sim.run()
+            lines = route_lines(sim)
+            held = tracemalloc.get_traced_memory()[0]
+            logged = len(sim.route_log) - before
+            del sim.route_log[before:]
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return metrics, lines, logged, freed
+
+    def test_every_terminal_packet_has_one_line(self, storm):
+        metrics, lines, _, _ = storm
+        totals = conserved_totals(metrics)
+        assert len(metrics.cycles) == 300 and totals[DROPPED_OVERFLOW] > 0
+        assert len({pid for pid, _, _ in lines}) == len(lines)
+        fates = Counter(fate for _, fate, _ in lines)
+        assert fates == Counter({fate: totals[fate] for fate in TERMINAL_FATES})
+
+    def test_route_log_retains_only_text(self, storm):
+        _, _, logged, freed = storm
+        assert logged > 5000
+        assert freed <= 150 * logged, f"{freed / logged:.0f} bytes per line"
 
 
 def full_verdict(table, stats, t_th, node_count):

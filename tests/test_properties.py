@@ -1,0 +1,66 @@
+"""Invariants of small random runs across protocols, forwarding modes,
+fault kinds and polarities."""
+
+from collections import Counter
+
+from hypothesis import assume, given, settings, strategies as st
+
+from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLARITIES,
+                          SOURCE_POLICIES, FaultSpec, SimConfig)
+from tcaco.engine import PROTOCOLS, Simulation
+from tcaco.model import TERMINAL_FATES
+from tcaco.topology import DisconnectedNetwork
+
+from test_engine import conserved_totals, route_lines
+
+fractions = st.sampled_from([0.1, 0.2, 0.3])
+FAULTS = {
+    "drop": st.builds(FaultSpec, behavior=st.just("drop"), fraction=fractions,
+                      p=st.floats(0.0, 1.0)),
+    "duplicate": st.builds(FaultSpec, behavior=st.just("duplicate"), fraction=fractions,
+                           copies=st.integers(1, 3)),
+    "flood": st.builds(FaultSpec, behavior=st.just("flood"), fraction=fractions,
+                       rate=st.integers(0, 6)),
+    "delay": st.builds(FaultSpec, behavior=st.just("delay"), fraction=fractions,
+                       extra=st.integers(0, 3)),
+}
+fault_specs = st.lists(st.sampled_from(sorted(FAULTS)), unique=True, max_size=4).flatmap(
+    lambda kinds: st.tuples(*(FAULTS[kind] for kind in kinds)))
+
+configs = st.builds(
+    SimConfig,
+    node_count=st.integers(2, 20),
+    field_width=st.floats(20.0, 150.0),
+    field_height=st.floats(20.0, 150.0),
+    # low batteries let nodes die inside the horizon
+    initial_energy=st.sampled_from([0.02, 0.05, 1.0]),
+    queue_capacity=st.integers(1, 8),
+    wc_max=st.integers(1, 4),
+    congestion_window=st.none() | st.integers(1, 4),
+    packets_per_round=st.integers(1, 12),
+    max_cycles=st.integers(0, 40),
+    forwarding_mode=st.sampled_from(FORWARDING_MODES),
+    source_policy=st.sampled_from(SOURCE_POLICIES),
+    congestion_polarity=st.sampled_from(CONGESTION_POLARITIES),
+    latency_polarity=st.sampled_from(LATENCY_POLARITIES),
+    fault_spec=fault_specs,
+    rng_seed=st.integers(0, 2 ** 16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs, st.sampled_from(PROTOCOLS))
+def test_random_run_keeps_its_invariants(cfg, protocol):
+    try:
+        sim = Simulation(cfg, protocol=protocol, log_routes=True)
+    except DisconnectedNetwork:
+        assume(False)   # no node within radio range of the sink
+    metrics = sim.run()
+    totals = conserved_totals(metrics)
+    energies = [row.total_energy_j for row in metrics.cycles]
+    assert all(later <= earlier for earlier, later in zip(energies, energies[1:]))
+    dead = metrics.dead_counts()
+    assert dead == sorted(dead)
+    assert all(s.acks_received <= s.packets_sent for s in sim.stats._links.values())
+    fates = Counter(fate for _, fate, _ in route_lines(sim))
+    assert fates == Counter({fate: totals[fate] for fate in TERMINAL_FATES})
