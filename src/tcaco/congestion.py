@@ -27,7 +27,7 @@ class NodeQueue:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.entries: deque[Packet] = deque()
+        self.entries: list[Packet] = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -56,9 +56,13 @@ def tick_wait_and_drop(queue: NodeQueue, cycle: int, wc_max: int) -> list[Packet
     so the expired ones are always at the front.
     """
     entries = queue.entries
-    expired: list[Packet] = []
-    while entries and cycle - entries[0].queued_at >= wc_max:
-        expired.append(entries.popleft())
+    k = 0
+    for p in entries:
+        if cycle - p.queued_at < wc_max:
+            break
+        k += 1
+    expired = entries[:k]
+    del entries[:k]
     return expired
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from . import energy as radio
@@ -25,7 +26,8 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
-from .trust import MALICIOUS_NODE, TRUSTED_NODE, TrustStats, classify, node_trust
+from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
+                    level_latency_scores, node_trust)
 
 
 class SourceDead(RuntimeError):
@@ -111,16 +113,6 @@ def extract_milestones(dead_counts: Sequence[int], node_count: int,
     return out
 
 
-def _level_labels(nodes: Sequence[int], levels: Sequence) -> list[int]:
-    """How ``nodes`` group by level: each node's level numbered in order of
-    first appearance, so equal lists mean equal groupings."""
-    seen: dict = {}
-    labels = []
-    for j in nodes:
-        labels.append(seen.setdefault(levels[j], len(seen)))
-    return labels
-
-
 def _farthest_corner(cfg: SimConfig) -> tuple[float, float]:
     bs = cfg.effective_bs_position()
     corners = [(0.0, 0.0), (cfg.field_width, 0.0),
@@ -174,11 +166,18 @@ class Simulation:
             (i, j): 1.0 for i in range(n) for j in self.topology.adjacency[i]
         }
         self.node_class = {i: TRUSTED_NODE for i in range(n)}
-        # what the trust rows were last computed from (see _recompute_trust)
+        # per endpoint: senders that have sent to it, and those of them whose
+        # link to it is trustworthy; the verdict follows from the two counts
+        self._evidenced = [0] * (n + 1)
+        self._vouching = [0] * (n + 1)
+        # what the trust table was last brought up to date with, and per row
+        # with latency evidence, {j: pl} over those neighbours in adjacency
+        # order plus their mean latencies (see _recompute_trust)
         self._trust_energies: Optional[list[float]] = None
         self._trust_levels: Optional[LevelAssignment] = None
-        self._latency_groups: dict[int, tuple[list[int], list[int]]] = {}
-        self.pheromone = PheromoneTable(self.trust_table, cfg.tau_init, cfg.tau_floor)
+        self._latency: dict[int, tuple[dict[int, float], list[float]]] = {}
+        self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
+                                        cfg.tau_floor, cfg.rho)
         self.flow = FlowHistory(n, window=cfg.congestion_window)
 
         self.cycle = 0
@@ -285,6 +284,7 @@ class Simulation:
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
         levels = self.levels.levels
+        taus = self.pheromone.row(i) if self.needs_pheromone else None
         out = []
         for j in self.topology.adjacency[i]:
             if j == self.bs:
@@ -304,7 +304,7 @@ class Simulation:
                         if use_tcm and self.node_class[j] == TRUSTED_NODE else 0.0)
             tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
-            tau = self.pheromone.get(i, j) if self.needs_pheromone else 1.0
+            tau = taus[j] if taus is not None else 1.0
             out.append((j, tc, self.topology.distances[i][j], tau))
         return out
 
@@ -369,6 +369,9 @@ class Simulation:
         p.record_hop(j)
         if behavior is not None and behavior.behavior == "delay":
             p.held_until = self.cycle + behavior.extra
+        if not self.queues[j].entries:
+            # j sits one level past i, so its turn in the sweep is still to come
+            heappush(self._sweep, (self.levels.levels[j], j))
         # j was admissible, so its queue has room
         enqueue(self.queues[j], p, self.cycle)
 
@@ -459,54 +462,124 @@ class Simulation:
         for i in range(self.cfg.node_count):
             yield i, self._row_trust(i, levels, energies)
 
-    def _recompute_trust(self) -> None:
-        """Refresh the trust rows whose inputs changed, then the node verdict.
+    def _write_trust(self, i: int, rows, changed: set[int]) -> None:
+        """Store the ``t_ij`` of ``rows`` (from ``blend_links``) in row i,
+        counting each evidenced link that crosses the threshold; ``changed``
+        collects the endpoints whose counts moved."""
+        table = self.trust_table
+        th = self.cfg.trust_threshold
+        for j, _, _, _, t_ij in rows:
+            old = table[i, j]
+            table[i, j] = t_ij
+            if (old > th) != (t_ij > th) and self.stats.link(i, j).packets_sent:
+                self._vouching[j] += 1 if t_ij > th else -1
+                changed.add(j)
 
-        Row i reads the energies of i and its neighbours, the evidence on its
-        out-links, and how its neighbours with latency evidence group by
-        level. It is recomputed when new evidence has sender i, when i or a
-        neighbour changed energy since the last refresh, or when that
-        grouping changed; every row is computed on the first refresh.
+    def _refresh_row(self, i: int, levels: list, energies: list[float],
+                     changed: set[int]) -> None:
+        """Recompute row i in full and cache its latency scores and means."""
+        rows = self._row_trust(i, levels, energies)
+        self._write_trust(i, rows, changed)
+        scores, means = {}, []
+        for j, _, _, pl, _ in rows:
+            link = self.stats.link(i, j)
+            if link.latency_count:
+                scores[j] = pl
+                means.append(link.mean_latency())
+        if scores:
+            self._latency[i] = (scores, means)
+        else:
+            self._latency.pop(i, None)
+
+    def _reblend(self, i: int, cols, energies: list[float], changed: set[int]) -> None:
+        """Re-blend the links (i, j), j in ``cols``, from the current energies
+        and evidence and row i's cached latency scores."""
+        cfg = self.cfg
+        cached = self._latency.get(i)
+        rows = blend_links(self.stats, i, cols, energies, cfg.initial_energy,
+                           cached[0] if cached else {}, cfg.a1, cfg.a2, cfg.a3)
+        self._write_trust(i, rows, changed)
+
+    def _rescore_latency(self, levels: list, energies: list[float], senders: set[int],
+                         changed: set[int]) -> None:
+        """Score each cached row's mean latencies against the current levels
+        and re-blend the links whose score moved; rows in ``senders`` were
+        just computed in full."""
+        cfg = self.cfg
+        reference = float(cfg.wc_max)
+        for i, (scores, means) in self._latency.items():
+            if i in senders:
+                continue
+            now = level_latency_scores(means, [levels[j] for j in scores],
+                                       cfg.latency_polarity, reference)
+            moved = []
+            for j, pl in zip(tuple(scores), now):
+                if scores[j] != pl:
+                    scores[j] = pl
+                    moved.append(j)
+            if moved:
+                self._reblend(i, moved, energies, changed)
+
+    def _recompute_trust(self) -> None:
+        """Bring ``trust_table`` and the node verdict up to date.
+
+        Link (i, j) reads the energies of i and j, the evidence on i's
+        out-links, and how i's neighbours with latency evidence group by
+        level. Every row is computed in full on the first refresh; after
+        that, a row is computed in full when it has new evidence. When the
+        levels change, every other row with latency evidence scores its
+        cached mean latencies against the new levels and re-blends the links
+        whose score moved. Last, each link to or from a node whose energy
+        changed is re-blended. The verdict is kept by counting, per node, the
+        senders that have sent to it and those whose link to it is
+        trustworthy; only nodes whose counts moved are re-classified.
         """
         n = self.cfg.node_count
+        bs = self.bs
         adjacency = self.topology.adjacency
         stats = self.stats
-        levels, energies = self._trust_inputs()
-        senders = stats.take_senders()
-        dirty = set(senders)
-        last = self._trust_energies
-        if last is None:
-            dirty.update(range(n))
-        else:
-            for k in range(n):
-                if energies[k] != last[k]:
-                    dirty.add(k)
-                    dirty.update(adjacency[k])
-            dirty.discard(self.bs)
-
-        # which neighbours of a row have latency evidence changes only with
-        # new evidence; how they group by level, whenever the levels change
-        groups = self._latency_groups
-        for i in senders:
-            nbrs = [j for j in adjacency[i] if stats.link(i, j).latency_count]
-            if nbrs:
-                groups[i] = (nbrs, _level_labels(nbrs, levels))
-            else:
-                groups.pop(i, None)
-        if self.levels is not self._trust_levels:
-            for i, (nbrs, labels) in groups.items():
-                now = _level_labels(nbrs, levels)
-                if now != labels:
-                    dirty.add(i)
-                    groups[i] = (nbrs, now)
-
         table = self.trust_table
-        for i in dirty:
-            for j, _, _, _, t_ij in self._row_trust(i, levels, energies):
-                table[i, j] = t_ij
+        th = self.cfg.trust_threshold
+        levels, energies = self._trust_inputs()
+        changed: set[int] = set()
+        # trust is refreshed every cycle, so a link whose sends all came this
+        # cycle got its first send since the last refresh; it counts with its
+        # trust so far, and _write_trust then counts it like any other when
+        # it crosses the threshold
+        for (i, j), sent in self._tx_counts.items():
+            if stats.link(i, j).packets_sent == sent:
+                self._evidenced[j] += 1
+                if table[i, j] > th:
+                    self._vouching[j] += 1
+                changed.add(j)
+
+        senders = stats.take_senders()
+        last = self._trust_energies
+        for i in (range(n) if last is None else senders):
+            self._refresh_row(i, levels, energies, changed)
+        if last is not None:
+            if self.levels is not self._trust_levels:
+                self._rescore_latency(levels, energies, senders, changed)
+            drained = [k for k in range(n) if energies[k] != last[k]]
+            skip = senders.union(drained)
+            skip.add(bs)   # the sink has no row
+            inbound: dict[int, list[int]] = {}
+            for k in drained:
+                if k not in senders:
+                    self._reblend(k, adjacency[k], energies, changed)
+                for j in adjacency[k]:
+                    if j not in skip:
+                        inbound.setdefault(j, []).append(k)
+            for j, cols in inbound.items():
+                self._reblend(j, cols, energies, changed)
         self._trust_energies = energies
         self._trust_levels = self.levels
-        self.node_class = classify(table, stats, self.cfg.trust_threshold, n)
+
+        node_class, evidenced, vouching = self.node_class, self._evidenced, self._vouching
+        changed.discard(bs)
+        for j in changed:
+            node_class[j] = (MALICIOUS_NODE if evidenced[j] and not vouching[j]
+                             else TRUSTED_NODE)
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
@@ -550,12 +623,15 @@ class Simulation:
                 if not enqueue(self.queues[k], fake, self.cycle):
                     self._finish(fake, DROPPED_OVERFLOW)
 
-        # 3./4. forwarding sweep, levels ascending, node ids ascending
+        # 3./4. forwarding sweep, levels ascending, node ids ascending, over
+        # the levelled nodes that hold packets: a heap of (level, id) to which
+        # _transmit adds each node whose empty queue it fills
         levels = self.levels.levels
-        order = sorted(
-            (lvl, i) for i, lvl in enumerate(levels) if lvl is not None
-        )
-        for level_i, i in order:
+        sweep = self._sweep = [(levels[i], i) for i, queue in enumerate(self.queues)
+                               if queue.entries and levels[i] is not None]
+        heapify(sweep)
+        while sweep:
+            level_i, i = heappop(sweep)
             self._forward_from(i, level_i)
 
         # 5. queue aging and timeout drops
@@ -568,7 +644,7 @@ class Simulation:
         # 7. pheromone evaporation and deposits
         if self.needs_pheromone:
             self.pheromone.update_cycle(self._tx_counts, self.topology.distance,
-                                        cfg.rho, cfg.pheromone_deposit_scale)
+                                        cfg.pheromone_deposit_scale)
 
         # 8. refresh trust and classification for the next cycle
         if self.needs_trust:

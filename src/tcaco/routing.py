@@ -164,39 +164,77 @@ def select_next_hop(ranked: Sequence[int],
     return None
 
 
-def update_pheromone(tau_prev: float, rho: float, n_ij: int, d_ij: float,
-                     deposit_scale: float = 1.0, tau_floor: float = 1e-6) -> float:
-    """Evaporate one cycle and deposit in proportion to traffic per meter."""
-    if d_ij <= 0:
-        raise ValueError("link distance must be positive")
-    tau = (1.0 - rho) * tau_prev + deposit_scale * (n_ij / d_ij)
-    return max(tau_floor, tau)
-
-
 class PheromoneTable:
-    """Pheromone concentration per directed link, floored above zero."""
+    """Pheromone concentration per directed link, floored above zero.
 
-    def __init__(self, links: Iterable[tuple[int, int]], tau_init: float,
-                 tau_floor: float = 1e-6):
+    Evaporation is applied lazily and exactly. Each node's row of out-links
+    carries the count of ``update_cycle`` calls it was last brought up to
+    date for; the first read after a gap replays every skipped step, decay
+    then floor, one at a time, so the values equal those of evaporating
+    every link on every cycle bit for bit. A replay stops once a value no
+    longer changes (it sits at the floor, or ``rho`` is zero).
+    """
+
+    def __init__(self, adjacency: Sequence[Iterable[int]], tau_init: float,
+                 tau_floor: float, rho: float):
         self.tau_floor = tau_floor
-        self.values: dict[tuple[int, int], float] = {
-            link: tau_init for link in links
-        }
+        self.decay = 1.0 - rho
+        self.rows: list[dict[int, float]] = [dict.fromkeys(nbrs, tau_init)
+                                             for nbrs in adjacency]
+        self.stamp = [0] * len(self.rows)
+        self.cycles = 0   # update_cycle calls so far
+
+    def row(self, i: int) -> dict[int, float]:
+        """Node i's out-links and their current pheromone."""
+        row = self.rows[i]
+        skipped = self.cycles - self.stamp[i]
+        if skipped:
+            decay, floor = self.decay, self.tau_floor
+            if skipped == 1:
+                # the common gap, in one pass without a per-link loop
+                for j, tau in row.items():
+                    tau = decay * tau
+                    row[j] = tau if tau > floor else floor
+            else:
+                for j, tau in row.items():
+                    for _ in range(skipped):
+                        nxt = decay * tau
+                        if not nxt > floor:
+                            nxt = floor
+                        if nxt == tau:
+                            break
+                        tau = nxt
+                    row[j] = tau
+            self.stamp[i] = self.cycles
+        return row
 
     def get(self, i: int, j: int) -> float:
-        return self.values[(i, j)]
+        return self.row(i)[j]
 
     def update_cycle(self, counts: dict[tuple[int, int], int],
                      distance: Callable[[int, int], float],
-                     rho: float, deposit_scale: float = 1.0) -> None:
-        """Apply evaporation to every link and deposits where traffic flowed."""
-        decay = 1.0 - rho
-        floor = self.tau_floor
-        values = self.values
-        for link, tau in values.items():
-            n = counts.get(link, 0)
-            if n:
-                tau = decay * tau + deposit_scale * (n / distance(link[0], link[1]))
-            else:
-                tau = decay * tau
-            values[link] = tau if tau > floor else floor
+                     deposit_scale: float = 1.0) -> None:
+        """Close one cycle: evaporate, and deposit in proportion to traffic
+        per meter where ``counts`` saw transfers.
+
+        Only the rows of nodes that sent are written; every other row
+        evaporates when it is next read.
+        """
+        sent: dict[int, dict[int, int]] = {}
+        for (i, j), n in counts.items():
+            sent.setdefault(i, {})[j] = n
+        decay, floor = self.decay, self.tau_floor
+        for i, out in sent.items():
+            row = self.row(i)
+            for j, tau in row.items():
+                n = out.get(j)
+                if n:
+                    d = distance(i, j)
+                    if d <= 0:
+                        raise ValueError("link distance must be positive")
+                    tau = decay * tau + deposit_scale * (n / d)
+                else:
+                    tau = decay * tau
+                row[j] = tau if tau > floor else floor
+            self.stamp[i] = self.cycles + 1
+        self.cycles += 1

@@ -6,10 +6,12 @@ of the link, and a latency score comparing j against i's other candidates.
 The blend is a weighted mean, so scaling all weights together changes
 nothing.
 
-``node_trust`` is the one production computation of the components and
-the blend, used by the engine and by the trust dump alike; ``classify``
-is the one node verdict. The per-link metric functions are references
-that tests compare ``node_trust`` against.
+``level_latency_scores`` is the one computation of the latency scores and
+``blend_links`` the one computation of the other components and the
+blend; ``node_trust`` puts a node's whole row together from the two, for
+the engine and the trust dump alike. ``classify`` is the full node
+verdict, which the engine keeps up to date by counts. The per-link metric
+functions are references that tests compare ``node_trust`` against.
 """
 
 from __future__ import annotations
@@ -169,39 +171,25 @@ def compute_trust(ne: float, ptr: float, pl: float,
     return (a1 * ne + a2 * ptr + a3 * pl) / total
 
 
-def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
-               levels: Sequence, energies: Sequence[float], e_init: float,
-               a1: float, a2: float, a3: float, polarity: str,
-               reference: float) -> list[tuple[int, float, float, float, float]]:
-    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
+def level_latency_scores(means: Sequence[float], levels: Sequence,
+                         polarity: str, reference: float) -> list[float]:
+    """Latency score of each of a node's neighbors with latency evidence.
 
-    ``levels`` and ``energies`` are indexed by endpoint id, the sink
-    included. The latency score of j compares it against i's other
-    neighbors on j's level, as ``latency_score`` does: the mean latencies
-    are summed once per level and j's own term is taken back out.
+    ``means`` and ``levels`` hold those neighbors' mean latencies and
+    levels, in adjacency order. Each is compared, as ``latency_score``
+    does, against the others on its level: the means are summed once per
+    level and its own term is taken back out.
     """
-    links = [(j, stats.link(i, j)) for j in neighbors]
-    means = []
     group_sum: dict = {}
     group_cnt: dict = {}
-    for j, link in links:
-        m = link.mean_latency()
-        means.append(m)
-        if m is not None:
-            lvl = levels[j]
-            group_sum[lvl] = group_sum.get(lvl, 0.0) + m
-            group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
-    e_i = energies[i]
-    rows = []
-    for (j, link), m_j in zip(links, means):
-        ne = ((e_i + energies[j]) / 2.0) / e_init
-        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
-        if m_j is None:
-            pl = 1.0
-        elif polarity != "literal" and m_j == math.inf:
+    for m, lvl in zip(means, levels):
+        group_sum[lvl] = group_sum.get(lvl, 0.0) + m
+        group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
+    scores = []
+    for m_j, lvl in zip(means, levels):
+        if polarity != "literal" and m_j == math.inf:
             pl = 0.0
         else:
-            lvl = levels[j]
             cnt = group_cnt[lvl] - 1
             mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else reference
             if polarity == "literal":
@@ -213,8 +201,44 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
                 pl = 1.0
             else:
                 pl = min(1.0, mean_others / m_j)
+        scores.append(pl)
+    return scores
+
+
+def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
+                energies: Sequence[float], e_init: float, scores: dict,
+                a1: float, a2: float, a3: float,
+                ) -> list[tuple[int, float, float, float, float]]:
+    """Trust components ``(j, ne, ptr, pl, t_ij)`` of the links (i, j), j in
+    ``cols``. ``energies`` is indexed by endpoint id, the sink included;
+    ``scores`` holds the latency score of each neighbor of i with latency
+    evidence, and any other scores the neutral 1.0."""
+    e_i = energies[i]
+    rows = []
+    for j in cols:
+        link = stats.link(i, j)
+        ne = ((e_i + energies[j]) / 2.0) / e_init
+        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
+        pl = scores.get(j, 1.0)
         rows.append((j, ne, ptr, pl, compute_trust(ne, ptr, pl, a1, a2, a3)))
     return rows
+
+
+def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
+               levels: Sequence, energies: Sequence[float], e_init: float,
+               a1: float, a2: float, a3: float, polarity: str,
+               reference: float) -> list[tuple[int, float, float, float, float]]:
+    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
+
+    ``levels`` and ``energies`` are indexed by endpoint id, the sink
+    included. Latency scores come from ``level_latency_scores`` over i's
+    neighbors with latency evidence.
+    """
+    timed = [j for j in neighbors if stats.link(i, j).latency_count]
+    scores = dict(zip(timed, level_latency_scores(
+        [stats.link(i, j).mean_latency() for j in timed], [levels[j] for j in timed],
+        polarity, reference)))
+    return blend_links(stats, i, neighbors, energies, e_init, scores, a1, a2, a3)
 
 
 def classify(trust_table: dict[tuple[int, int], float], stats: TrustStats,

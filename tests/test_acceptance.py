@@ -18,8 +18,10 @@ from tcaco.config import FaultSpec, SimConfig
 from tcaco.congestion import FlowHistory
 from tcaco.engine import MILESTONE_PERCENTAGES, run_simulation
 from tcaco.output import lower_median, per_cycle_csv_text
-from tcaco.routing import transition_probabilities, trust_congestion_metric, update_pheromone
+from tcaco.routing import PheromoneTable, transition_probabilities, trust_congestion_metric
 from tcaco.trust import compute_trust
+
+from test_routing import one_link_step
 
 HERE = os.path.dirname(__file__)
 LIFETIME_CONFIG = os.path.join(HERE, os.pardir, "configs", "lifetime_experiment.json")
@@ -90,12 +92,12 @@ def test_criterion_1_formula_conformance():
     checks.append(abs(p[1] - 0.5) <= TOL and abs(p[2] - 0.5) <= TOL)
 
     # pheromone update
-    close(update_pheromone(5.0, 1.0, 12, 4.0), 3.0)
-    close(update_pheromone(1.7, 0.0, 0, 9.0), 1.7)
-    close(update_pheromone(1.0, 0.1, 5, 10.0), 1.4)
-    close(update_pheromone(1.0, 0.25, 3, 2.0, deposit_scale=2.0), 3.75)
-    close(update_pheromone(2.0, 0.5, 0, 7.0), 1.0)
-    close(update_pheromone(1e-6, 0.5, 0, 5.0), 1e-6)
+    close(one_link_step(5.0, 1.0, 12, 4.0), 3.0)
+    close(one_link_step(1.7, 0.0, 0, 9.0), 1.7)
+    close(one_link_step(1.0, 0.1, 5, 10.0), 1.4)
+    close(one_link_step(1.0, 0.25, 3, 2.0, deposit_scale=2.0), 3.75)
+    close(one_link_step(2.0, 0.5, 0, 7.0), 1.0)
+    close(one_link_step(1e-6, 0.5, 0, 5.0), 1e-6)
 
     report(1, "formula conformance", all(checks),
            f"{len(checks)} hand-computed cases within {TOL}")
@@ -323,9 +325,9 @@ def test_criterion_9_degenerate_inputs():
         [(1, 0.0, 10.0, 1.0), (2, 0.0, 25.0, 2.0), (3, 0.0, 40.0, 0.5)], 1, 1, 1)
     checks.append(all(abs(v - 1 / 3) <= TOL for v in probs.values()))
     checks.append(FlowHistory(1).congestion_index(0) == 0.0)
-    tau = 1.0
+    table = PheromoneTable([(1,), ()], 1.0, 1e-6, 0.1)
     for _ in range(10_000):
-        tau = update_pheromone(tau, 0.1, 0, 10.0, tau_floor=1e-6)
-    checks.append(tau >= 1e-6)
+        table.update_cycle({}, lambda i, j: 10.0)
+    checks.append(table.get(0, 1) >= 1e-6)
     report(9, "degenerate-input suite", all(checks),
            "single candidate, uniform fallback, cycle-1 bootstrap, pheromone floor")

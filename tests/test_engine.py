@@ -336,6 +336,44 @@ class TestForwardLimit:
         assert row.in_flight == 4
 
 
+class TestSweep:
+    """The forwarding sweep visits each levelled node that holds a packet at
+    its turn once, in ascending (level, id), and never an empty queue."""
+
+    @pytest.mark.parametrize("protocol,mode", [("dist_aco", "stochastic_roulette"),
+                                               ("tc_aco", "deterministic_rank")])
+    def test_visits_exactly_the_nodes_holding_packets(self, monkeypatch, protocol, mode):
+        cfg = SimConfig(**{**TestRouteLog.STORM, "node_count": 40, "packets_per_round": 30,
+                           "max_cycles": 40, "forwarding_mode": mode})
+        forward, age = Simulation._forward_from, Simulation._age_queues
+        visits = []   # (level, id, queue length) per _forward_from call this cycle
+        totals = Counter()
+
+        def logged_forward(sim, i, level_i):
+            visits.append((level_i, i, len(sim.queues[i])))
+            forward(sim, i, level_i)
+
+        def checked_age(sim):
+            keys = [(level_i, i) for level_i, i, _ in visits]
+            assert keys == sorted(set(keys)), sim.cycle
+            assert all(held for _, _, held in visits), sim.cycle
+            # a queue gains packets only from the level before its own, so one
+            # that is not empty now was not empty at its turn either
+            levelled = {i for i, lvl in enumerate(sim.levels.levels) if lvl is not None}
+            skipped = levelled - {i for _, i, _ in visits}
+            assert not any(sim.queues[i].entries for i in skipped), sim.cycle
+            totals["visits"] += len(visits)
+            totals["skipped"] += len(skipped)
+            visits.clear()
+            age(sim)
+
+        monkeypatch.setattr(Simulation, "_forward_from", logged_forward)
+        monkeypatch.setattr(Simulation, "_age_queues", checked_age)
+        metrics = Simulation(cfg, protocol=protocol, seed=5).run()
+        assert len(metrics.cycles) > 10
+        assert totals["visits"] > 10 * len(metrics.cycles) and totals["skipped"] > 0
+
+
 class TestAckEnergy:
     def test_both_ends_pay_for_acknowledgements(self):
         from tcaco.energy import rx_cost

@@ -2,14 +2,16 @@
 fault kinds and polarities."""
 
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import assume, given, settings, strategies as st
 
 from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLARITIES,
                           SOURCE_POLICIES, FaultSpec, SimConfig)
-from tcaco.engine import PROTOCOLS, Simulation
+from tcaco.engine import PROTOCOLS, Simulation, SourceDead
 from tcaco.model import TERMINAL_FATES
 from tcaco.topology import DisconnectedNetwork
+from tcaco.trust import classify
 
 from test_engine import conserved_totals, route_lines
 
@@ -64,3 +66,24 @@ def test_random_run_keeps_its_invariants(cfg, protocol):
     assert all(s.acks_received <= s.packets_sent for s in sim.stats._links.values())
     fates = Counter(fate for _, fate, _ in route_lines(sim))
     assert fates == Counter({fate: totals[fate] for fate in TERMINAL_FATES})
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs.map(lambda cfg: replace(cfg, source_policy="random_per_round")),
+       st.sampled_from(["tc_aco", "trust_greedy"]))
+def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
+    """After every cycle the kept table equals ``trust_rows`` and the kept
+    verdict equals ``classify`` over that table."""
+    try:
+        sim = Simulation(cfg, protocol=protocol)
+    except DisconnectedNetwork:
+        assume(False)
+    while sim.cycle < cfg.max_cycles:
+        try:
+            sim.run_cycle()
+        except (SourceDead, DisconnectedNetwork):
+            break
+        full = {(i, j): t_ij for i, rows in sim.trust_rows() for j, _, _, _, t_ij in rows}
+        assert sim.trust_table == full, sim.cycle
+        assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
+                                          cfg.node_count), sim.cycle

@@ -1,5 +1,6 @@
 """Level assignment, candidate scoring, hop selection, pheromone update."""
 
+import copy
 import random
 
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcaco.routing import (NoValidCandidates, PheromoneTable, assign_levels,
                            rank_by_probability, select_next_hop,
-                           transition_probabilities, trust_congestion_metric,
-                           update_pheromone)
+                           transition_probabilities, trust_congestion_metric)
 from tcaco.topology import DisconnectedNetwork, build_topology
 
 
@@ -170,37 +170,112 @@ class TestSelection:
             select_next_hop([1], lambda _: True, "wheel")
 
 
+def one_link_step(tau, rho, n_ij, d_ij, deposit_scale=1.0, tau_floor=1e-6):
+    """Pheromone on the one link 0->1 after one cycle with ``n_ij`` transfers."""
+    table = PheromoneTable([(1,), ()], tau, tau_floor, rho)
+    table.update_cycle({(0, 1): n_ij}, lambda i, j: d_ij, deposit_scale)
+    return table.get(0, 1)
+
+
 class TestPheromone:
     def test_full_evaporation_pure_deposit(self):
-        assert update_pheromone(5.0, 1.0, 12, 4.0) == pytest.approx(3.0, abs=1e-12)
+        assert one_link_step(5.0, 1.0, 12, 4.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_no_evaporation_no_deposit(self):
-        assert update_pheromone(1.7, 0.0, 0, 9.0) == pytest.approx(1.7, abs=1e-12)
+        assert one_link_step(1.7, 0.0, 0, 9.0) == pytest.approx(1.7, abs=1e-12)
 
     def test_hand_blend(self):
-        assert update_pheromone(1.0, 0.1, 5, 10.0) == pytest.approx(1.4, abs=1e-12)
+        assert one_link_step(1.0, 0.1, 5, 10.0) == pytest.approx(1.4, abs=1e-12)
 
     def test_deposit_scale(self):
-        assert update_pheromone(1.0, 0.25, 3, 2.0, deposit_scale=2.0) == pytest.approx(3.75)
+        assert one_link_step(1.0, 0.25, 3, 2.0, deposit_scale=2.0) == pytest.approx(3.75)
 
     def test_floor_holds_under_pure_evaporation(self):
-        tau = 1.0
+        table = PheromoneTable([(1,), ()], 1.0, 1e-6, 0.1)
         for _ in range(10_000):
-            tau = update_pheromone(tau, 0.1, 0, 10.0, tau_floor=1e-6)
+            table.update_cycle({}, lambda i, j: 10.0)
+        tau = table.get(0, 1)
         assert tau == pytest.approx(1e-6, abs=1e-18)
         assert tau >= 1e-6
 
     def test_busier_link_ends_higher(self):
-        busy = update_pheromone(1.0, 0.1, 9, 10.0)
-        quiet = update_pheromone(1.0, 0.1, 2, 10.0)
-        assert busy > quiet
+        table = PheromoneTable([(1, 2), (), ()], 1.0, 1e-6, 0.1)
+        table.update_cycle({(0, 1): 9, (0, 2): 2}, lambda i, j: 10.0)
+        assert table.get(0, 1) > table.get(0, 2)
 
     def test_table_update_evaporates_unused(self):
-        table = PheromoneTable([(0, 1), (1, 0)], tau_init=1.0, tau_floor=1e-6)
-        table.update_cycle({(0, 1): 5}, lambda i, j: 10.0, rho=0.1)
+        table = PheromoneTable([(1,), (0,)], tau_init=1.0, tau_floor=1e-6, rho=0.1)
+        table.update_cycle({(0, 1): 5}, lambda i, j: 10.0)
         assert table.get(0, 1) == pytest.approx(1.4, abs=1e-12)
         assert table.get(1, 0) == pytest.approx(0.9, abs=1e-12)
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
-            update_pheromone(1.0, 0.1, 1, 0.0)
+            one_link_step(1.0, 0.1, 1, 0.0)
+
+
+class EagerPheromone:
+    """Reference table: every link evaporates and is floored on every cycle."""
+
+    def __init__(self, adjacency, tau_init, tau_floor, rho):
+        self.tau_floor = tau_floor
+        self.rho = rho
+        self.values = {(i, j): tau_init for i, nbrs in enumerate(adjacency) for j in nbrs}
+
+    def get(self, i, j):
+        return self.values[(i, j)]
+
+    def update_cycle(self, counts, distance, deposit_scale=1.0):
+        decay = 1.0 - self.rho
+        floor = self.tau_floor
+        values = self.values
+        for link, tau in values.items():
+            n = counts.get(link, 0)
+            if n:
+                tau = decay * tau + deposit_scale * (n / distance(link[0], link[1]))
+            else:
+                tau = decay * tau
+            values[link] = tau if tau > floor else floor
+
+
+# three nodes, all linked: each row is read, deposited on or left idle
+LINKS = [(i, j) for i in range(3) for j in range(3) if i != j]
+pheromone_steps = st.lists(st.one_of(
+    st.tuples(st.just("read"), st.sampled_from(LINKS)),
+    st.tuples(st.just("update"),
+              st.dictionaries(st.sampled_from(LINKS), st.integers(0, 30), max_size=4)),
+    # long idle gaps evaporate any deposit down to the floor
+    st.tuples(st.just("idle"), st.integers(1, 400)),
+), max_size=25)
+
+
+class TestLazyPheromone:
+    @settings(max_examples=200, deadline=None)
+    @given(rho=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           tau_init=st.floats(1e-7, 5.0),
+           tau_floor=st.sampled_from([1e-6, 1e-3, 0.5]),
+           deposit_scale=st.floats(0.0, 3.0),
+           lengths=st.lists(st.floats(0.5, 60.0), min_size=len(LINKS),
+                            max_size=len(LINKS)),
+           steps=pheromone_steps)
+    def test_every_read_equals_eager_evaporation(self, rho, tau_init, tau_floor,
+                                                 deposit_scale, lengths, steps):
+        adjacency = [tuple(j for j in range(3) if j != i) for i in range(3)]
+        lazy = PheromoneTable(adjacency, tau_init, tau_floor, rho)
+        eager = EagerPheromone(adjacency, tau_init, tau_floor, rho)
+        length = dict(zip(LINKS, lengths))
+        distance = lambda i, j: length[(i, j)]
+        for kind, arg in steps:
+            if kind == "read":
+                assert lazy.get(*arg) == eager.get(*arg)
+            elif kind == "update":
+                for table in (lazy, eager):
+                    table.update_cycle(arg, distance, deposit_scale)
+            else:
+                for _ in range(arg):
+                    for table in (lazy, eager):
+                        table.update_cycle({}, distance, deposit_scale)
+            # read a copy, so the table under test keeps its stale rows
+            seen = copy.deepcopy(lazy)
+            assert [seen.get(*link) for link in LINKS] == [eager.get(*link)
+                                                            for link in LINKS]
