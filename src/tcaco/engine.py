@@ -188,6 +188,9 @@ class Simulation:
         self._source_pool: list[int] = []
         self._pool_dead_count = -1
         self.metric_rows: list[CycleStats] = []
+        # the forwarding sweep's heap of (level, id), filled by run_cycle and
+        # added to by _transmit
+        self._sweep: list[tuple[int, int]] = []
         # one rendered line per terminal packet, when routes are logged
         self.route_log: list[str] = []
 
@@ -542,16 +545,14 @@ class Simulation:
         th = self.cfg.trust_threshold
         levels, energies = self._trust_inputs()
         changed: set[int] = set()
-        # trust is refreshed every cycle, so a link whose sends all came this
-        # cycle got its first send since the last refresh; it counts with its
-        # trust so far, and _write_trust then counts it like any other when
-        # it crosses the threshold
-        for (i, j), sent in self._tx_counts.items():
-            if stats.link(i, j).packets_sent == sent:
-                self._evidenced[j] += 1
-                if table[i, j] > th:
-                    self._vouching[j] += 1
-                changed.add(j)
+        # a link's first send makes it count, with its trust so far;
+        # _write_trust then counts it like any other when it crosses the
+        # threshold
+        for i, j in stats.take_first_sends():
+            self._evidenced[j] += 1
+            if table[i, j] > th:
+                self._vouching[j] += 1
+            changed.add(j)
 
         senders = stats.take_senders()
         last = self._trust_energies
@@ -627,8 +628,9 @@ class Simulation:
         # the levelled nodes that hold packets: a heap of (level, id) to which
         # _transmit adds each node whose empty queue it fills
         levels = self.levels.levels
-        sweep = self._sweep = [(levels[i], i) for i, queue in enumerate(self.queues)
-                               if queue.entries and levels[i] is not None]
+        sweep = self._sweep
+        sweep.extend((levels[i], i) for i, queue in enumerate(self.queues)
+                     if queue.entries and levels[i] is not None)
         heapify(sweep)
         while sweep:
             level_i, i = heappop(sweep)

@@ -190,21 +190,15 @@ class PheromoneTable:
         skipped = self.cycles - self.stamp[i]
         if skipped:
             decay, floor = self.decay, self.tau_floor
-            if skipped == 1:
-                # the common gap, in one pass without a per-link loop
-                for j, tau in row.items():
-                    tau = decay * tau
-                    row[j] = tau if tau > floor else floor
-            else:
-                for j, tau in row.items():
-                    for _ in range(skipped):
-                        nxt = decay * tau
-                        if not nxt > floor:
-                            nxt = floor
-                        if nxt == tau:
-                            break
-                        tau = nxt
-                    row[j] = tau
+            for j, tau in row.items():
+                for _ in range(skipped):
+                    nxt = decay * tau
+                    if not nxt > floor:
+                        nxt = floor
+                    if nxt == tau:
+                        break
+                    tau = nxt
+                row[j] = tau
             self.stamp[i] = self.cycles
         return row
 

@@ -61,11 +61,13 @@ class TrustStats:
 
     Only evidence creates a link's record; reading a link without any
     stores nothing. Every record also notes its sender until
-    ``take_senders`` hands the noted senders over."""
+    ``take_senders`` hands the noted senders over, and a link's first send
+    notes the link until ``take_first_sends`` hands it over."""
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
         self._senders: set[int] = set()
+        self._first_sends: list[tuple[int, int]] = []
 
     def link(self, i: int, j: int) -> LinkStats:
         return self._links.get((i, j), _NO_EVIDENCE)
@@ -75,6 +77,11 @@ class TrustStats:
         senders, self._senders = self._senders, set()
         return senders
 
+    def take_first_sends(self) -> list[tuple[int, int]]:
+        """Links whose first send came since the last call, each once."""
+        links, self._first_sends = self._first_sends, []
+        return links
+
     def _evidence(self, i: int, j: int) -> LinkStats:
         self._senders.add(i)
         s = self._links.get((i, j))
@@ -83,7 +90,10 @@ class TrustStats:
         return s
 
     def record_send(self, i: int, j: int) -> None:
-        self._evidence(i, j).packets_sent += 1
+        s = self._evidence(i, j)
+        if not s.packets_sent:
+            self._first_sends.append((i, j))
+        s.packets_sent += 1
 
     def record_ack(self, i: int, j: int) -> None:
         s = self._evidence(i, j)

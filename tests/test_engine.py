@@ -603,3 +603,24 @@ class TestIncrementalTrust:
     def test_run_where_nodes_die_matches_full_recompute(self):
         sim = self.run_checked(Simulation(SimConfig(**DYING), seed=4))
         assert sum(not node.alive for node in sim.nodes) >= 5
+
+    def test_first_send_on_an_untrustworthy_link_does_not_vouch(self):
+        cfg = SimConfig(**{**self.SPARSE, "trust_threshold": 0.8, "fault_spec": ()})
+        sim = Simulation(cfg, seed=3)
+        sim.run_cycle()
+        # at 0.3 of their energy, links between nodes without evidence score
+        # (0.3 + 1 + 1) / 3 < 0.8
+        for node in sim.nodes:
+            node.energy *= 0.3
+        sim._recompute_trust()
+        adjacency = sim.topology.adjacency
+        i, j = next((i, j) for (i, j) in sim.trust_table
+                    if j != sim.bs and not any(sim.stats.link(k, j).packets_sent
+                                               for k in adjacency[j]))
+        sim.stats.record_send(i, j)
+        sim.stats.record_ack(i, j)
+        sim._recompute_trust()
+        assert sim.trust_table[i, j] <= cfg.trust_threshold
+        assert sim.node_class == full_verdict(sim.trust_table, sim.stats,
+                                              cfg.trust_threshold, cfg.node_count)
+        assert sim.node_class[j] == MALICIOUS_NODE

@@ -226,6 +226,18 @@ class TestEvidenceRecords:
         assert stats.link(0, 1).mean_latency() is None
         assert stats._links == {}
 
+    def test_first_sends_handed_over_once(self):
+        stats = TrustStats()
+        stats.record_latency(2, 3, 1.0)   # evidence, but no send
+        stats.record_send(0, 1)
+        stats.record_send(0, 1)
+        stats.record_send(1, 0)
+        assert stats.take_first_sends() == [(0, 1), (1, 0)]
+        stats.record_send(0, 1)
+        stats.record_send(2, 3)
+        assert stats.take_first_sends() == [(2, 3)]
+        assert stats.take_first_sends() == []
+
     def test_engine_run_stores_only_links_with_evidence(self):
         from test_golden import case_simulation
         sim = case_simulation("tc_aco_deterministic_rank")
