@@ -17,9 +17,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Optional
 
-from .config import (ConfigError, ParseError, SimConfig, config_from_dict,
-                     read_json_object, validate_config)
+from .config import (ConfigError, ParseError, SimConfig, check_json_type,
+                     config_from_dict, read_json_object, validate_config)
 from .engine import PROTOCOLS, SimMetrics, Simulation
 from .output import (per_cycle_csv_text, route_dump_text, summary_json_text,
                      trust_dump_text)
@@ -27,7 +28,9 @@ from .output import (per_cycle_csv_text, route_dump_text, summary_json_text,
 EMIT_CHOICES = ("per-cycle", "summary", "trust", "routes")
 DEFAULT_EMIT = ("per-cycle", "summary")
 
-_EXPERIMENT_KEYS = ("protocols", "replicates", "seeds", "base_seed", "out_dir", "emit")
+# the experiment-level keys and the JSON type of each
+_EXPERIMENT_KEYS = {"protocols": list[str], "replicates": int, "seeds": Optional[list[int]],
+                    "base_seed": int, "out_dir": str, "emit": list[str]}
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,13 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
                     ) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON file plus flag overrides."""
     raw = {} if path is None else read_json_object(path)
-    exp = {key: raw.pop(key) for key in list(_EXPERIMENT_KEYS) if key in raw}
+    exp = {key: raw.pop(key) for key in _EXPERIMENT_KEYS if key in raw}
+    for key, value in exp.items():
+        check_json_type(key, value, _EXPERIMENT_KEYS[key])
     cfg = config_from_dict(raw)
 
     protocols = exp.get("protocols", ["tc_aco"])
-    replicates = exp.get("replicates", cfg.replicate_count)
+    replicates = exp.get("replicates", 1)
     base_seed = exp.get("base_seed", cfg.rng_seed)
     seeds = exp.get("seeds")
     out_dir = exp.get("out_dir", _default_out_dir())

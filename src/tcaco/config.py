@@ -8,8 +8,8 @@ violated constraint at once rather than stopping at the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -114,7 +114,6 @@ class SimConfig:
     fault_spec: tuple[FaultSpec, ...] = ()
     max_cycles: int = 5000
     rng_seed: int = 1
-    replicate_count: int = 1
 
     def radio_params(self) -> RadioParams:
         return RadioParams(e_elec=self.e_elec, eps_fs=self.eps_fs)
@@ -174,8 +173,6 @@ def collect_violations(cfg: SimConfig) -> list[str]:
         v.append("packet_size_bits must be >= 1")
     if cfg.max_cycles < 0:
         v.append("max_cycles must be >= 0")
-    if cfg.replicate_count < 1:
-        v.append("replicate_count must be >= 1")
     if cfg.congestion_polarity not in CONGESTION_POLARITIES:
         v.append(f"congestion_polarity must be one of {CONGESTION_POLARITIES}")
     if cfg.latency_polarity not in LATENCY_POLARITIES:
@@ -224,40 +221,58 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     return cfg
 
 
-_SIM_KEYS = {f.name for f in fields(SimConfig)}
+_SIM_TYPES = get_type_hints(SimConfig)
+_FAULT_TYPES = get_type_hints(FaultSpec)
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def check_json_type(key: str, value, hint) -> None:
+    """Raise ParseError naming ``key`` unless the JSON ``value`` fits the
+    type ``hint``: int, float (an int fits too), str, a list or tuple of
+    one of them (a JSON list either way), or Optional of any of these."""
+    if get_origin(hint) is Union:
+        if value is None:
+            return
+        hint = get_args(hint)[0]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ParseError(f"{key} must be a list, not {json.dumps(value)}")
+        if origin is tuple and args[-1] is not Ellipsis and len(value) != len(args):
+            raise ParseError(f"{key} must list {len(args)} values, not {json.dumps(value)}")
+        for item in value:
+            check_json_type(key, item, args[0])
+        return
+    fits = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, fits):
+        raise ParseError(f"{key} must be {_TYPE_NAMES[hint]}, not {json.dumps(value)}")
 
 
 def _parse_fault_entry(raw: dict, idx: int) -> FaultSpec:
     if not isinstance(raw, dict):
         raise ParseError(f"fault_spec[{idx}] must be an object")
-    known = {"behavior", "nodes", "fraction", "p", "copies", "rate", "extra"}
-    for key in raw:
-        if key not in known:
+    for key, value in raw.items():
+        if key not in _FAULT_TYPES:
             raise ParseError(f"fault_spec[{idx}]: unknown key {key!r}")
+        check_json_type(f"fault_spec[{idx}].{key}", value, _FAULT_TYPES[key])
     nodes = raw.get("nodes")
-    return FaultSpec(
-        behavior=raw.get("behavior", "honest"),
-        nodes=tuple(nodes) if nodes is not None else None,
-        fraction=raw.get("fraction"),
-        p=raw.get("p", 1.0),
-        copies=raw.get("copies", 2),
-        rate=raw.get("rate", 1),
-        extra=raw.get("extra", 1),
-    )
+    return FaultSpec(**{**raw, "nodes": tuple(nodes) if nodes is not None else None})
 
 
 def config_from_dict(data: dict) -> SimConfig:
     """Build a SimConfig from a plain dict, rejecting unknown keys."""
     kwargs = {}
     for key, value in data.items():
-        if key not in _SIM_KEYS:
+        if key not in _SIM_TYPES:
             raise ParseError(f"unknown config key {key!r}")
         if key == "fault_spec":
             if not isinstance(value, list):
                 raise ParseError("fault_spec must be a list")
             value = tuple(_parse_fault_entry(e, i) for i, e in enumerate(value))
-        elif key == "bs_position" and value is not None:
-            value = (float(value[0]), float(value[1]))
+        else:
+            check_json_type(key, value, _SIM_TYPES[key])
+            if key == "bs_position" and value is not None:
+                value = (float(value[0]), float(value[1]))
         kwargs[key] = value
     return SimConfig(**kwargs)
 

@@ -16,10 +16,6 @@ from typing import Optional
 from .model import Packet
 
 
-class InsufficientHistory(ValueError):
-    """Flow averages need at least one recorded cycle."""
-
-
 class NodeQueue:
     """FIFO packet buffer with a hard capacity."""
 
@@ -101,18 +97,6 @@ class FlowHistory:
                     in_sum[k] -= old_in[k]
                     out_sum[k] -= old_out[k]
 
-    def _avg(self, running: int) -> float:
-        if not self.cycles:
-            raise InsufficientHistory("flow averages need one recorded cycle")
-        span = self.cycles if self.window is None else len(self._rows)
-        return running / span
-
-    def avg_inflow(self, k: int) -> float:
-        return self._avg(self._in_sum[k])
-
-    def avg_outflow(self, k: int) -> float:
-        return self._avg(self._out_sum[k])
-
     def congestion_index(self, k: int) -> float:
         """Fraction of absorbed traffic the node fails to drain, in [0,1].
 
@@ -122,8 +106,9 @@ class FlowHistory:
         """
         if not self.cycles:
             return 0.0
-        r_in = self.avg_inflow(k)
-        r_out = self.avg_outflow(k)
+        span = self.cycles if self.window is None else len(self._rows)
+        r_in = self._in_sum[k] / span
+        r_out = self._out_sum[k] / span
         q_prev = self._free[k]
         denom = r_in + q_prev
         if denom <= 0:

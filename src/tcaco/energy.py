@@ -8,7 +8,6 @@ costs the electronics term alone.
 from __future__ import annotations
 
 from .config import RadioParams
-from .model import NodeState
 
 
 def tx_cost(bits: int, d: float, params: RadioParams) -> float:
@@ -19,9 +18,8 @@ def rx_cost(bits: int, params: RadioParams) -> float:
     return params.e_elec * bits
 
 
-def debit(node: NodeState, amount: float) -> NodeState:
-    """Subtract ``amount`` from the node's battery, clamped at zero."""
+def debit(energy: list[float], k: int, amount: float) -> None:
+    """Subtract ``amount`` from node k's battery, clamped at zero."""
     if amount < 0:
         raise ValueError("energy debit must be non-negative")
-    node.energy = max(0.0, node.energy - amount)
-    return node
+    energy[k] = max(0.0, energy[k] - amount)

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
-from .model import (DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT,
-                    NodeState, Packet)
+from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
 from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
@@ -150,10 +149,9 @@ class Simulation:
 
         self.fixed_source = self._pick_fixed_source(positions)
         self.faults = self._assign_faults()
-        self.nodes = [
-            NodeState(i, positions[i], cfg.initial_energy, cfg.energy_threshold)
-            for i in range(n)
-        ]
+        # remaining battery per node; a node transmits while it holds at least
+        # the energy threshold and keeps receiving until its battery is empty
+        self.energy = [cfg.initial_energy] * n
         self.queues = [NodeQueue(cfg.queue_capacity) for _ in range(n)]
 
         self.radio_params = cfg.radio_params()
@@ -247,9 +245,6 @@ class Simulation:
             trail = ">".join(map(str, p.hop_trail))
             self.route_log.append(f"{self.cycle}\t{p.id}\t{fate}\t{trail}")
 
-    def _alive_flags(self) -> list[bool]:
-        return [node.alive for node in self.nodes]
-
     def _pick_source(self, alive: list[bool]) -> int:
         if self.cfg.source_policy == "fixed":
             source = self.fixed_source
@@ -315,8 +310,7 @@ class Simulation:
         """A candidate accepts traffic while its queue has room and it can transmit."""
         if j == self.bs:
             return True
-        return (self.nodes[j].energy >= self.cfg.energy_threshold
-                and not self.queues[j].full)
+        return self.energy[j] >= self.cfg.energy_threshold and not self.queues[j].full
 
     def _record_delivery_latency(self, p: Packet) -> None:
         latency = float(self.cycle - p.created_cycle)
@@ -332,7 +326,7 @@ class Simulation:
         anywhere it can progress from.
         """
         d = self.topology.distances[i][j]
-        radio.debit(self.nodes[i], radio.tx_cost(self.packet_bits, d, self.radio_params))
+        radio.debit(self.energy, i, radio.tx_cost(self.packet_bits, d, self.radio_params))
         self._outflow_now[i] += 1
         self.stats.record_send(i, j)
         key = (i, j)
@@ -348,15 +342,14 @@ class Simulation:
             # the sink acknowledges everything it absorbs
             self.stats.record_ack(i, j)
             if self.ack_bits:
-                radio.debit(self.nodes[i], radio.rx_cost(self.ack_bits, self.radio_params))
+                radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, self.radio_params))
             return True
 
         self._inflow_now[j] += 1
-        receiver = self.nodes[j]
         behavior = self.faults.get(j)
         if behavior is not None:
             self._row.forwarded_to_malicious += 1
-        radio.debit(receiver, radio.rx_cost(self.packet_bits, self.radio_params))
+        radio.debit(self.energy, j, radio.rx_cost(self.packet_bits, self.radio_params))
 
         if behavior is not None and behavior.behavior == "drop":
             if self.rng.random() < behavior.p:
@@ -366,8 +359,8 @@ class Simulation:
 
         self.stats.record_ack(i, j)
         if self.ack_bits:
-            radio.debit(receiver, radio.tx_cost(self.ack_bits, d, self.radio_params))
-            radio.debit(self.nodes[i], radio.rx_cost(self.ack_bits, self.radio_params))
+            radio.debit(self.energy, j, radio.tx_cost(self.ack_bits, d, self.radio_params))
+            radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, self.radio_params))
 
         p.record_hop(j)
         if behavior is not None and behavior.behavior == "delay":
@@ -390,7 +383,7 @@ class Simulation:
     def _forward_from(self, i: int, level_i: int) -> None:
         cfg = self.cfg
         queue = self.queues[i]
-        if not queue.entries or self.nodes[i].energy < cfg.energy_threshold:
+        if not queue.entries or self.energy[i] < cfg.energy_threshold:
             return
         candidates = self._scored_candidates(i, level_i)
         if not candidates:
@@ -411,7 +404,7 @@ class Simulation:
             # burns one of its attempts; there is no cross-packet memory of
             # refusals, so shaking off a bad hop is the trust layer's job
             while True:
-                if self.nodes[i].energy < cfg.energy_threshold:
+                if self.energy[i] < cfg.energy_threshold:
                     return
                 j = select_next_hop(ranked, self._admissible, cfg.forwarding_mode,
                                     probabilities, self.rng)
@@ -447,9 +440,8 @@ class Simulation:
             levels = [None] * (cfg.node_count + 1)
         else:
             levels = [*self.levels.levels, self.levels.bs_level]
-        energies = [node.energy for node in self.nodes]
-        energies.append(cfg.initial_energy)   # the sink is energy-unbounded
-        return levels, energies
+        # the sink is energy-unbounded
+        return levels, [*self.energy, cfg.initial_energy]
 
     def _row_trust(self, i: int, levels: list, energies: list[float]):
         cfg = self.cfg
@@ -592,7 +584,7 @@ class Simulation:
         self._outflow_now = [0] * cfg.node_count
         self._tx_counts: dict[tuple[int, int], int] = {}
 
-        alive = self._alive_flags()
+        alive = [e >= cfg.energy_threshold for e in self.energy]
         source = self._pick_source(alive)
         self._ensure_levels(source, alive)
 
@@ -610,16 +602,15 @@ class Simulation:
             if not victims:
                 continue
             for _ in range(behavior.rate):
-                if self.nodes[f_id].energy < cfg.energy_threshold:
+                if self.energy[f_id] < cfg.energy_threshold:
                     break
                 k = self.rng.choice(victims)
                 fake = self._new_packet(f_id, fake=True)
                 fake.record_hop(k)
                 d = self.topology.distances[f_id][k]
-                radio.debit(self.nodes[f_id],
+                radio.debit(self.energy, f_id,
                             radio.tx_cost(self.packet_bits, d, self.radio_params))
-                radio.debit(self.nodes[k],
-                            radio.rx_cost(self.packet_bits, self.radio_params))
+                radio.debit(self.energy, k, radio.rx_cost(self.packet_bits, self.radio_params))
                 self._inflow_now[k] += 1
                 if not enqueue(self.queues[k], fake, self.cycle):
                     self._finish(fake, DROPPED_OVERFLOW)
@@ -653,8 +644,8 @@ class Simulation:
             self._recompute_trust()
 
         # 9. metrics
-        row.dead_nodes = sum(1 for node in self.nodes if not node.alive)
-        row.total_energy_j = sum(node.energy for node in self.nodes)
+        row.dead_nodes = sum(e < cfg.energy_threshold for e in self.energy)
+        row.total_energy_j = sum(self.energy)
         row.in_flight = sum(len(q) for q in self.queues)
         self.metric_rows.append(row)
         return row

@@ -1,4 +1,4 @@
-"""Core domain objects: sensor nodes and routable packets."""
+"""Routable packets and their terminal fates."""
 
 from __future__ import annotations
 
@@ -51,24 +51,3 @@ class Packet:
         return (f"Packet(id={self.id}, origin={self.origin}, "
                 f"holder={self.hop_trail[-1]}, fate={self.fate})")
 
-
-class NodeState:
-    """Mutable per-node simulation state.
-
-    ``alive`` means the node holds at least the transmission threshold of
-    energy. A node below threshold no longer transmits but may keep
-    receiving until its battery reaches zero.
-    """
-
-    __slots__ = ("id", "position", "energy", "energy_threshold")
-
-    def __init__(self, node_id: int, position: tuple[float, float],
-                 energy: float, energy_threshold: float):
-        self.id = node_id
-        self.position = position
-        self.energy = energy
-        self.energy_threshold = energy_threshold
-
-    @property
-    def alive(self) -> bool:
-        return self.energy >= self.energy_threshold

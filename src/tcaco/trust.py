@@ -9,9 +9,10 @@ nothing.
 ``level_latency_scores`` is the one computation of the latency scores and
 ``blend_links`` the one computation of the other components and the
 blend; ``node_trust`` puts a node's whole row together from the two, for
-the engine and the trust dump alike. ``classify`` is the full node
-verdict, which the engine keeps up to date by counts. The per-link metric
-functions are references that tests compare ``node_trust`` against.
+the engine and the trust dump alike. The engine keeps the node verdict up
+to date by counts. The tests hold independent per-link references for the
+three metrics and the full node verdict, and compare ``node_trust`` and
+the engine against them.
 """
 
 from __future__ import annotations
@@ -105,69 +106,6 @@ class TrustStats:
         self._evidence(i, j).add_latency(value)
 
 
-def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:
-    """Acknowledged fraction of packets sent on i->j; 1.0 before any send.
-
-    Per-link reference for the ``ptr`` column of ``node_trust``, kept for
-    the tests that compare the two.
-    """
-    s = stats.link(i, j)
-    if s.packets_sent == 0:
-        return 1.0
-    return s.acks_received / s.packets_sent
-
-
-def latency_score(stats: TrustStats, i: int, j: int, peers: Iterable[int],
-                  polarity: str = "normalized",
-                  reference: float | None = None) -> float:
-    """Latency of j relative to the mean latency of i's other candidates.
-
-    Normalized polarity rewards nodes faster than their peers, capped at 1;
-    literal polarity returns the raw slow/fast ratio clamped to [0,1].
-    Without samples for j there is no evidence and the score stays at the
-    neutral 1.0. When j has samples but no peer does, ``reference`` (a
-    nominal comparison latency, e.g. the queue timeout horizon) stands in
-    for the peer mean; with no reference the score is again neutral.
-    An unbounded mean latency (transfers that never completed) scores 0
-    outright: no peer comparison can redeem it.
-
-    Per-link reference for the ``pl`` column of ``node_trust``, which
-    computes the same score from per-level sums; kept for the tests that
-    compare the two.
-    """
-    lat_j = stats.link(i, j).mean_latency()
-    if lat_j is None:
-        return 1.0
-    if polarity != "literal" and lat_j == math.inf:
-        return 0.0
-    peer_means = [m for m in (stats.link(i, k).mean_latency() for k in peers if k != j)
-                  if m is not None]
-    if peer_means:
-        mean_others = sum(peer_means) / len(peer_means)
-    elif reference is not None:
-        mean_others = reference
-    else:
-        return 1.0
-    if polarity == "literal":
-        if lat_j == math.inf or mean_others == 0.0:
-            return 1.0
-        return min(1.0, max(0.0, lat_j / mean_others))
-    if lat_j == 0.0:
-        return 1.0
-    return min(1.0, mean_others / lat_j)
-
-
-def energy_metric(e_i: float, e_j: float, e_init: float) -> float:
-    """Average remaining energy of the pair, as a fraction of the initial charge.
-
-    Per-link reference for the ``ne`` column of ``node_trust``, kept for
-    the tests that compare the two.
-    """
-    if e_init <= 0:
-        raise ValueError("initial energy must be positive")
-    return ((e_i + e_j) / 2.0) / e_init
-
-
 def compute_trust(ne: float, ptr: float, pl: float,
                   a1: float, a2: float, a3: float) -> float:
     """Weighted mean of the three trust metrics."""
@@ -186,9 +124,13 @@ def level_latency_scores(means: Sequence[float], levels: Sequence,
     """Latency score of each of a node's neighbors with latency evidence.
 
     ``means`` and ``levels`` hold those neighbors' mean latencies and
-    levels, in adjacency order. Each is compared, as ``latency_score``
-    does, against the others on its level: the means are summed once per
-    level and its own term is taken back out.
+    levels, in adjacency order. Each is compared against the mean of the
+    others on its level: the means are summed once per level and its own
+    term is taken back out. Without such peers, ``reference`` (a nominal
+    comparison latency) stands in for their mean. Normalized polarity
+    rewards nodes faster than their peers, capped at 1, and scores an
+    unbounded mean latency (transfers that never completed) 0 outright;
+    literal polarity returns the raw slow/fast ratio clamped to [0,1].
     """
     group_sum: dict = {}
     group_cnt: dict = {}
@@ -250,28 +192,3 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
         polarity, reference)))
     return blend_links(stats, i, neighbors, energies, e_init, scores, a1, a2, a3)
 
-
-def classify(trust_table: dict[tuple[int, int], float], stats: TrustStats,
-             t_th: float, node_count: int) -> dict[int, str]:
-    """Trusted/malicious verdict for nodes 0..node_count-1 (the sink, id
-    node_count, is never classified).
-
-    A link is trustworthy only strictly above the threshold. A node is
-    malicious when some sender has sent to it and no such sender's link to
-    it is trustworthy; a node nobody has sent to stays trusted, and one
-    vouching sender is enough. The verdict holds network-wide, so one
-    sender's bad experience removes a node from everyone's candidate sets
-    instead of each sender having to learn it separately. Only links with
-    evidence are visited; the table is read for those alone.
-    """
-    evidenced = [False] * (node_count + 1)
-    vouched = [False] * (node_count + 1)
-    for (i, j), link in stats._links.items():
-        if link.packets_sent:
-            evidenced[j] = True
-            if trust_table[i, j] > t_th:
-                vouched[j] = True
-    return {
-        j: (MALICIOUS_NODE if evidenced[j] and not vouched[j] else TRUSTED_NODE)
-        for j in range(node_count)
-    }

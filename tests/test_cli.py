@@ -189,6 +189,18 @@ class TestMainExitCodes:
     def test_missing_file_is_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"node_count": "50"}, "node_count"),
+        ({"replicates": "2"}, "replicates"),
+        ({"bs_position": [1]}, "bs_position"),
+        ({"fault_spec": [{"behavior": "drop", "fraction": "0.2"}]}, "fault_spec[0].fraction"),
+    ], ids=["node_count", "replicates", "bs_position", "fault_fraction"])
+    def test_value_of_the_wrong_type_is_1(self, tmp_path, capsys, payload, key):
+        payload = dict(payload, out_dir=str(tmp_path / "o"))
+        assert main(["--config", write_cfg(tmp_path, payload)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} "), lines
+
     def test_runtime_error_is_2(self, tmp_path):
         # nodes scattered over a huge field cannot reach the sink
         payload = {"node_count": 2, "field_width": 20000.0, "field_height": 20000.0,

@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaco.congestion import (FlowHistory, InsufficientHistory, NodeQueue,
-                              enqueue, tick_wait_and_drop)
+from tcaco.congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
 from tcaco.model import IN_FLIGHT, Packet
 
 
@@ -92,31 +91,31 @@ def history_from(inflows, outflows, frees):
 
 
 class TestFlowAverages:
+    """Each flow average shows in the congestion index, which is
+    (r_in + q - r_out) / (r_in + q) with q the last recorded free space."""
+
     def test_avg_inflow_two_cycles(self):
-        h = history_from([4, 6], [0, 0], [10, 10])
-        assert h.avg_inflow(0) == pytest.approx(5.0, abs=1e-12)
+        # r_in 5, r_out 3, q 1 -> 3/6
+        h = history_from([4, 6], [3, 3], [10, 1])
+        assert h.congestion_index(0) == 0.5
 
     def test_avg_inflow_single_cycle(self):
-        h = history_from([7], [0], [10])
-        assert h.avg_inflow(0) == pytest.approx(7.0, abs=1e-12)
+        # r_in 7, r_out 3, q 1 -> 5/8
+        h = history_from([7], [3], [1])
+        assert h.congestion_index(0) == 0.625
 
     def test_all_zero_history(self):
-        h = history_from([0, 0, 0], [0, 0, 0], [10, 10, 10])
-        assert h.avg_inflow(0) == 0.0
-        assert h.avg_outflow(0) == 0.0
+        # r_in 0 and r_out 0 leave the free space alone: q/q
+        h = history_from([0, 0, 0], [0, 0, 0], [3, 3, 3])
+        assert h.congestion_index(0) == 1.0
 
     def test_avg_outflow_values(self):
-        h = history_from([0, 0], [2, 4], [10, 10])
-        assert h.avg_outflow(0) == pytest.approx(3.0, abs=1e-12)
-        h2 = history_from([0], [10], [10])
-        assert h2.avg_outflow(0) == pytest.approx(10.0, abs=1e-12)
-
-    def test_history_required(self):
-        h = FlowHistory(1)
-        with pytest.raises(InsufficientHistory):
-            h.avg_inflow(0)
-        with pytest.raises(InsufficientHistory):
-            h.avg_outflow(0)
+        # r_in 4, r_out 3, q 2 -> 3/6
+        h = history_from([4, 4], [2, 4], [10, 2])
+        assert h.congestion_index(0) == 0.5
+        # r_in 10, r_out 10, q 6 -> 6/16
+        h2 = history_from([10], [10], [6])
+        assert h2.congestion_index(0) == 0.375
 
 
 class TestCongestionIndex:

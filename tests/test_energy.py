@@ -1,11 +1,10 @@
-"""First-order radio costs and the transmission gate."""
+"""First-order radio costs and battery debits."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tcaco.config import RadioParams, SimConfig
+from tcaco.config import RadioParams
 from tcaco.energy import debit, rx_cost, tx_cost
-from tcaco.model import NodeState
 
 PARAMS = RadioParams()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
 
@@ -29,33 +28,23 @@ def test_rx_hand_values():
     assert rx_cost(1, PARAMS) == pytest.approx(50e-9, abs=1e-15)
 
 
-def test_alive_boundary_included():
-    cfg = SimConfig()
-    node = NodeState(0, (0, 0), energy=1.0, energy_threshold=cfg.energy_threshold)
-    assert node.alive
-    node.energy = 0.009
-    assert not node.alive
-    node.energy = cfg.energy_threshold
-    assert node.alive
-
-
 def test_debit_basic_and_clamp():
-    node = NodeState(0, (0, 0), energy=0.5, energy_threshold=0.01)
-    debit(node, 0.1)
-    assert node.energy == pytest.approx(0.4, abs=1e-12)
-    node.energy = 0.05
-    debit(node, 0.1)
-    assert node.energy == 0.0
-    assert not node.alive
-    node.energy = 1.0
-    debit(node, 0.0)
-    assert node.energy == 1.0
+    energy = [1.0, 0.5]
+    debit(energy, 1, 0.1)
+    assert energy[1] == pytest.approx(0.4, abs=1e-12)
+    energy[1] = 0.05
+    debit(energy, 1, 0.1)
+    assert energy == [1.0, 0.0]
+    energy[1] = 1.0
+    debit(energy, 1, 0.0)
+    assert energy[1] == 1.0
 
 
 def test_debit_rejects_negative():
-    node = NodeState(0, (0, 0), energy=0.5, energy_threshold=0.01)
+    energy = [0.5]
     with pytest.raises(ValueError):
-        debit(node, -0.1)
+        debit(energy, 0, -0.1)
+    assert energy == [0.5]
 
 
 @given(st.integers(min_value=0, max_value=10_000),
@@ -72,7 +61,7 @@ def test_tx_cost_monotone_in_bits_and_distance(b1, b2, d1, d2):
 @given(st.floats(min_value=0, max_value=2.0, allow_nan=False),
        st.lists(st.floats(min_value=0, max_value=0.5, allow_nan=False), max_size=8))
 def test_energy_never_negative_under_debits(start, amounts):
-    node = NodeState(0, (0, 0), energy=start, energy_threshold=0.01)
+    energy = [start]
     for a in amounts:
-        debit(node, a)
-        assert node.energy >= 0.0
+        debit(energy, 0, a)
+        assert energy[0] >= 0.0

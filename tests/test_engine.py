@@ -1,6 +1,7 @@
 """Per-cycle state machine, fault behaviors, terminations, determinism, and
 bounded stored state."""
 
+import math
 import os
 import tracemalloc
 from collections import Counter
@@ -16,8 +17,10 @@ from tcaco.energy import tx_cost
 from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE
+from tcaco.trust import MALICIOUS_NODE, compute_trust
 import random
+
+from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
 
 
 def conserved_totals(metrics):
@@ -108,7 +111,7 @@ class TestTwoNodeDelivery:
         assert row.in_flight == 0
         expected = 1.0 - cfg.packets_per_round * tx_cost(
             cfg.packet_size_bits, 10.0, cfg.radio_params())
-        assert sim.nodes[0].energy == pytest.approx(expected, abs=1e-12)
+        assert sim.energy[0] == pytest.approx(expected, abs=1e-12)
 
     def test_generation_not_bound_by_buffer_capacity(self):
         cfg = SimConfig(node_count=2, radio_range=60.0, bs_position=(10.0, 0.0),
@@ -119,6 +122,40 @@ class TestTwoNodeDelivery:
         assert row.generated == 20
         assert row.dropped_overflow == 0
         assert row.delivered == 20
+
+
+class TestEnergyThreshold:
+    def test_node_at_the_threshold_is_admissible_and_transmits(self):
+        """A node holding exactly ``energy_threshold`` is alive: it accepts a
+        packet and transmits. One holding any less does neither."""
+        cfg = SimConfig(node_count=3, radio_range=35.0, bs_position=(60.0, 0.0),
+                        source_node=0, packets_per_round=3, ack_size_fraction=0.0,
+                        max_cycles=1)
+        # source 0, relay 1, then the sink; node 2 is out of everyone's range
+        layout = [(0.0, 0.0), (30.0, 0.0), (0.0, 100.0)]
+        th = cfg.energy_threshold
+
+        # the source at the threshold sends one packet, which leaves it below;
+        # the idle node at the threshold is not counted dead
+        sim = Simulation(cfg, positions=layout)
+        sim.energy[0] = sim.energy[2] = th
+        row = sim.run_cycle()
+        assert row.delivered == 1 and [len(q) for q in sim.queues] == [2, 0, 0]
+        assert row.dead_nodes == 1
+
+        # the relay at the threshold accepts one packet; receiving it leaves
+        # the relay below, where it neither forwards it nor accepts another
+        sim = Simulation(cfg, positions=layout)
+        sim.energy[1] = th
+        row = sim.run_cycle()
+        assert row.delivered == 0 and [len(q) for q in sim.queues] == [2, 1, 0]
+        assert sim.energy[1] < th and row.dead_nodes == 1
+
+        # a relay just below the threshold is dead: the sink is out of reach
+        sim = Simulation(cfg, positions=layout)
+        sim.energy[1] = math.nextafter(th, 0.0)
+        with pytest.raises(DisconnectedNetwork):
+            sim.run_cycle()
 
 
 class TestDropRelay:
@@ -184,7 +221,7 @@ class TestFaultBehaviors:
         assert fakes
         assert "delivered" not in fakes
         # the attacker pays transmission energy for every emitted fake
-        assert sim.nodes[2].energy < cfg.initial_energy
+        assert sim.energy[2] < cfg.initial_energy
 
     def test_duplicate_spawns_clones_without_delivery_credit(self):
         cfg = SimConfig(node_count=2, radio_range=35.0, bs_position=(60.0, 0.0),
@@ -232,7 +269,7 @@ class TestTerminations:
         cfg = SimConfig(node_count=2, radio_range=35.0, bs_position=(60.0, 0.0),
                         source_node=0, max_cycles=10)
         sim = Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0)])
-        sim.nodes[1].energy = 0.0  # the only bridge to the sink is dead
+        sim.energy[1] = 0.0  # the only bridge to the sink is dead
         metrics = sim.run()
         assert metrics.termination == "sink_unreachable"
         assert metrics.cycles == []
@@ -386,10 +423,10 @@ class TestAckEnergy:
         paying.run_cycle()
         # relay pays the ack transmission plus the sink-ack reception,
         # source pays the ack reception
-        assert paying.nodes[1].energy < quiet.nodes[1].energy
+        assert paying.energy[1] < quiet.energy[1]
         params = paying.radio_params
         expected_source_delta = rx_cost(paying.ack_bits, params)
-        got_delta = quiet.nodes[0].energy - paying.nodes[0].energy
+        got_delta = quiet.energy[0] - paying.energy[0]
         assert got_delta == pytest.approx(expected_source_delta, abs=1e-12)
 
 
@@ -421,8 +458,6 @@ class TestTrustTableAgreement:
     @pytest.mark.parametrize("polarity", ["normalized", "literal"])
     def test_engine_recompute_matches_contract_functions(self, polarity):
         """The engine's grouped trust rows equal the per-link reference functions."""
-        from tcaco.trust import (compute_trust, energy_metric, latency_score,
-                                 packet_transmission_ratio)
         cfg = SimConfig(node_count=20, max_cycles=12, source_policy="random_per_round",
                         latency_polarity=polarity,
                         fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.9),
@@ -437,11 +472,11 @@ class TestTrustTableAgreement:
         for i, rows in sim.trust_rows():
             for j, ne, ptr, pl, t_ij in rows:
                 assert t_ij == sim.trust_table[(i, j)], (i, j)
-                e_j = cfg.initial_energy if j == sim.bs else sim.nodes[j].energy
+                e_j = cfg.initial_energy if j == sim.bs else sim.energy[j]
                 lvl_j = bs_level if j == sim.bs else levels[j]
                 peers = [k for k in sim.topology.adjacency[i]
                          if (bs_level if k == sim.bs else levels[k]) == lvl_j]
-                want = (energy_metric(sim.nodes[i].energy, e_j, cfg.initial_energy),
+                want = (energy_metric(sim.energy[i], e_j, cfg.initial_energy),
                         packet_transmission_ratio(sim.stats, i, j),
                         latency_score(sim.stats, i, j, peers, polarity,
                                       reference=float(cfg.wc_max)))
@@ -547,18 +582,6 @@ class TestRouteLog:
         assert freed <= 150 * logged, f"{freed / logged:.0f} bytes per line"
 
 
-def full_verdict(table, stats, t_th, node_count):
-    """The node verdict over every link of the table, evidence or not."""
-    evidenced, vouched = set(), set()
-    for (i, j), t_ij in table.items():
-        if stats.link(i, j).packets_sent:
-            evidenced.add(j)
-            if t_ij > t_th:
-                vouched.add(j)
-    return {j: MALICIOUS_NODE if j in evidenced - vouched else TRUSTED_NODE
-            for j in range(node_count)}
-
-
 class TestIncrementalTrust:
     """The engine refreshes only trust rows whose inputs changed; after every
     cycle its table and verdict must equal the full recomputation."""
@@ -586,8 +609,8 @@ class TestIncrementalTrust:
             full = {(i, j): t_ij for i, rows in sim.trust_rows()
                     for j, _, _, _, t_ij in rows}
             assert sim.trust_table == full, sim.cycle
-            assert sim.node_class == full_verdict(full, sim.stats, cfg.trust_threshold,
-                                                  cfg.node_count), sim.cycle
+            assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
+                                              cfg.node_count), sim.cycle
         return sim
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
@@ -602,7 +625,7 @@ class TestIncrementalTrust:
 
     def test_run_where_nodes_die_matches_full_recompute(self):
         sim = self.run_checked(Simulation(SimConfig(**DYING), seed=4))
-        assert sum(not node.alive for node in sim.nodes) >= 5
+        assert sum(e < sim.cfg.energy_threshold for e in sim.energy) >= 5
 
     def test_first_send_on_an_untrustworthy_link_does_not_vouch(self):
         cfg = SimConfig(**{**self.SPARSE, "trust_threshold": 0.8, "fault_spec": ()})
@@ -610,8 +633,7 @@ class TestIncrementalTrust:
         sim.run_cycle()
         # at 0.3 of their energy, links between nodes without evidence score
         # (0.3 + 1 + 1) / 3 < 0.8
-        for node in sim.nodes:
-            node.energy *= 0.3
+        sim.energy[:] = [e * 0.3 for e in sim.energy]
         sim._recompute_trust()
         adjacency = sim.topology.adjacency
         i, j = next((i, j) for (i, j) in sim.trust_table
@@ -621,6 +643,6 @@ class TestIncrementalTrust:
         sim.stats.record_ack(i, j)
         sim._recompute_trust()
         assert sim.trust_table[i, j] <= cfg.trust_threshold
-        assert sim.node_class == full_verdict(sim.trust_table, sim.stats,
-                                              cfg.trust_threshold, cfg.node_count)
+        assert sim.node_class == classify(sim.trust_table, sim.stats,
+                                          cfg.trust_threshold, cfg.node_count)
         assert sim.node_class[j] == MALICIOUS_NODE

@@ -11,9 +11,9 @@ from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLAR
 from tcaco.engine import PROTOCOLS, Simulation, SourceDead
 from tcaco.model import TERMINAL_FATES
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import classify
 
 from test_engine import conserved_totals, route_lines
+from test_trust import classify
 
 fractions = st.sampled_from([0.1, 0.2, 0.3])
 FAULTS = {

@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tcaco.model import (DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, NodeState,
-                         Packet)
+from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
 from tcaco.topology import DisconnectedNetwork, build_topology, euclidean_distance
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -105,11 +104,3 @@ def test_packet_rejects_non_terminal_fate():
     with pytest.raises(ValueError):
         p.resolve(IN_FLIGHT)
 
-
-def test_node_alive_tracks_threshold():
-    node = NodeState(0, (0, 0), energy=1.0, energy_threshold=0.01)
-    assert node.alive
-    node.energy = 0.01
-    assert node.alive  # boundary included
-    node.energy = 0.009
-    assert not node.alive

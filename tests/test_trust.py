@@ -1,15 +1,93 @@
-"""Trust metrics, the weighted blend, and classification."""
+"""Trust metrics, the weighted blend, and classification.
+
+The per-link metric functions and ``classify`` below are the tests'
+independent references: each computes one link's metric, or the full node
+verdict, straight from the evidence, the way the definitions read. The
+engine computes the same from per-level sums and keeps the verdict by
+counts; ``test_engine`` and ``test_properties`` compare it against these.
+"""
 
 import math
+from typing import Iterable
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, ZeroWeights,
-                         classify, compute_trust, energy_metric, latency_score,
-                         node_trust, packet_transmission_ratio)
+                         compute_trust, node_trust)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:
+    """Acknowledged fraction of packets sent on i->j; 1.0 before any send."""
+    s = stats.link(i, j)
+    if s.packets_sent == 0:
+        return 1.0
+    return s.acks_received / s.packets_sent
+
+
+def latency_score(stats: TrustStats, i: int, j: int, peers: Iterable[int],
+                  polarity: str = "normalized",
+                  reference: float | None = None) -> float:
+    """Latency of j relative to the mean latency of i's other candidates.
+
+    Normalized polarity rewards nodes faster than their peers, capped at 1;
+    literal polarity returns the raw slow/fast ratio clamped to [0,1].
+    Without samples for j there is no evidence and the score stays at the
+    neutral 1.0. When j has samples but no peer does, ``reference`` stands
+    in for the peer mean; with no reference the score is again neutral.
+    An unbounded mean latency (transfers that never completed) scores 0
+    outright: no peer comparison can redeem it.
+    """
+    lat_j = stats.link(i, j).mean_latency()
+    if lat_j is None:
+        return 1.0
+    if polarity != "literal" and lat_j == math.inf:
+        return 0.0
+    peer_means = [m for m in (stats.link(i, k).mean_latency() for k in peers if k != j)
+                  if m is not None]
+    if peer_means:
+        mean_others = sum(peer_means) / len(peer_means)
+    elif reference is not None:
+        mean_others = reference
+    else:
+        return 1.0
+    if polarity == "literal":
+        if lat_j == math.inf or mean_others == 0.0:
+            return 1.0
+        return min(1.0, max(0.0, lat_j / mean_others))
+    if lat_j == 0.0:
+        return 1.0
+    return min(1.0, mean_others / lat_j)
+
+
+def energy_metric(e_i: float, e_j: float, e_init: float) -> float:
+    """Average remaining energy of the pair, as a fraction of the initial charge."""
+    if e_init <= 0:
+        raise ValueError("initial energy must be positive")
+    return ((e_i + e_j) / 2.0) / e_init
+
+
+def classify(trust_table: dict[tuple[int, int], float], stats: TrustStats,
+             t_th: float, node_count: int) -> dict[int, str]:
+    """Trusted/malicious verdict for nodes 0..node_count-1 (the sink, id
+    node_count, is never classified).
+
+    A link is trustworthy only strictly above the threshold. A node is
+    malicious when some sender has sent to it and no such sender's link to
+    it is trustworthy; a node nobody has sent to stays trusted, and one
+    vouching sender is enough. Every link of the table is visited, with
+    evidence or without.
+    """
+    evidenced, vouched = set(), set()
+    for (i, j), t_ij in trust_table.items():
+        if stats.link(i, j).packets_sent:
+            evidenced.add(j)
+            if t_ij > t_th:
+                vouched.add(j)
+    return {j: MALICIOUS_NODE if j in evidenced - vouched else TRUSTED_NODE
+            for j in range(node_count)}
 
 
 def make_stats(sent=0, acked=0, latencies=(), link=(0, 1)):
