@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tcaco.config import RadioParams
+from tcaco.config import RadioParams, SimConfig
 from tcaco.energy import debit, rx_cost, tx_cost
+from tcaco.engine import Simulation
 
 PARAMS = RadioParams()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
 
@@ -26,6 +27,20 @@ def test_rx_hand_values():
     assert rx_cost(0, PARAMS) == 0.0
     assert rx_cost(2000, PARAMS) == pytest.approx(1.0e-4, abs=1e-12)
     assert rx_cost(1, PARAMS) == pytest.approx(50e-9, abs=1e-15)
+
+
+def test_alive_boundary_included():
+    """A node is counted dead only once its energy is below the threshold;
+    holding exactly the threshold still counts as alive."""
+    cfg = SimConfig(node_count=3, radio_range=35.0, bs_position=(60.0, 0.0),
+                    source_node=0, packets_per_round=3, ack_size_fraction=0.0,
+                    max_cycles=1)
+    # node 2 is out of everyone's range, so its energy only changes here
+    layout = [(0.0, 0.0), (30.0, 0.0), (0.0, 100.0)]
+    for energy, dead in [(1.0, 0), (0.009, 1), (cfg.energy_threshold, 0)]:
+        sim = Simulation(cfg, positions=layout)
+        sim.energy[2] = energy
+        assert sim.run_cycle().dead_nodes == dead
 
 
 def test_debit_basic_and_clamp():

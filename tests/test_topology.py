@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tcaco.config import SimConfig
+from tcaco.engine import Simulation
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
 from tcaco.topology import DisconnectedNetwork, build_topology, euclidean_distance
 
@@ -104,3 +106,20 @@ def test_packet_rejects_non_terminal_fate():
     with pytest.raises(ValueError):
         p.resolve(IN_FLIGHT)
 
+
+def test_node_alive_tracks_threshold():
+    """The only relay carries the route while its energy is at or above the
+    threshold (boundary included); just below it the sink is cut off."""
+    cfg = SimConfig(node_count=2, radio_range=35.0, bs_position=(60.0, 0.0),
+                    source_node=0, packets_per_round=1, ack_size_fraction=0.0,
+                    max_cycles=1)
+    layout = [(0.0, 0.0), (30.0, 0.0)]
+    for energy in (1.0, 0.01):
+        sim = Simulation(cfg, positions=layout)
+        sim.energy[1] = energy
+        sim.run_cycle()
+        assert sim.levels.levels[1] is not None
+    sim = Simulation(cfg, positions=layout)
+    sim.energy[1] = 0.009
+    with pytest.raises(DisconnectedNetwork):
+        sim.run_cycle()
