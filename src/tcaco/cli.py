@@ -4,7 +4,8 @@ An experiment file is one JSON object mixing simulation keys with the
 experiment-level keys ``protocols``, ``replicates``, ``seeds``,
 ``base_seed``, ``out_dir``, and ``emit``. Command-line flags override file
 values. Replicate seeds derive as base_seed + replicate index unless an
-explicit seed list is given.
+explicit seed list is given; that list must not be empty, and a replicate
+count given with it must match its length.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 I/O error.
 """
@@ -57,7 +58,7 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
     cfg = config_from_dict(raw)
 
     protocols = exp.get("protocols", ["tc_aco"])
-    replicates = exp.get("replicates", 1)
+    replicates = exp.get("replicates")
     base_seed = exp.get("base_seed", cfg.rng_seed)
     seeds = exp.get("seeds")
     out_dir = exp.get("out_dir", _default_out_dir())
@@ -87,10 +88,14 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
     for p in protocols:
         if p not in PROTOCOLS:
             problems.append(f"unknown protocol {p!r}")
-    if replicates < 1:
+    if replicates is not None and replicates < 1:
         problems.append("replicates must be >= 1")
     if seeds is None:
-        seeds = [base_seed + k for k in range(replicates)]
+        seeds = [base_seed + k for k in range(1 if replicates is None else replicates)]
+    elif not seeds:
+        problems.append("seed list is empty")
+    elif replicates is not None and replicates != len(seeds):
+        problems.append(f"replicates {replicates} contradicts the {len(seeds)} seeds {seeds}")
     if len(set(seeds)) != len(seeds):
         problems.append("seeds must be distinct")
     for e in emit:

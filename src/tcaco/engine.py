@@ -26,7 +26,7 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
-                    level_latency_scores, node_trust)
+                    latency_scores, level_latency_scores, node_trust)
 
 
 class SourceDead(RuntimeError):
@@ -443,132 +443,100 @@ class Simulation:
         # the sink is energy-unbounded
         return levels, [*self.energy, cfg.initial_energy]
 
-    def _row_trust(self, i: int, levels: list, energies: list[float]):
-        cfg = self.cfg
-        return node_trust(self.stats, i, self.topology.adjacency[i], levels, energies,
-                          cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
-                          cfg.latency_polarity, float(cfg.wc_max))
-
     def trust_rows(self):
         """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
         from the current evidence, energies and levels: the full computation
         that ``_recompute_trust`` keeps ``trust_table`` equal to."""
+        cfg = self.cfg
         levels, energies = self._trust_inputs()
-        for i in range(self.cfg.node_count):
-            yield i, self._row_trust(i, levels, energies)
-
-    def _write_trust(self, i: int, rows, changed: set[int]) -> None:
-        """Store the ``t_ij`` of ``rows`` (from ``blend_links``) in row i,
-        counting each evidenced link that crosses the threshold; ``changed``
-        collects the endpoints whose counts moved."""
-        table = self.trust_table
-        th = self.cfg.trust_threshold
-        for j, _, _, _, t_ij in rows:
-            old = table[i, j]
-            table[i, j] = t_ij
-            if (old > th) != (t_ij > th) and self.stats.link(i, j).packets_sent:
-                self._vouching[j] += 1 if t_ij > th else -1
-                changed.add(j)
-
-    def _refresh_row(self, i: int, levels: list, energies: list[float],
-                     changed: set[int]) -> None:
-        """Recompute row i in full and cache its latency scores and means."""
-        rows = self._row_trust(i, levels, energies)
-        self._write_trust(i, rows, changed)
-        scores, means = {}, []
-        for j, _, _, pl, _ in rows:
-            link = self.stats.link(i, j)
-            if link.latency_count:
-                scores[j] = pl
-                means.append(link.mean_latency())
-        if scores:
-            self._latency[i] = (scores, means)
-        else:
-            self._latency.pop(i, None)
-
-    def _reblend(self, i: int, cols, energies: list[float], changed: set[int]) -> None:
-        """Re-blend the links (i, j), j in ``cols``, from the current energies
-        and evidence and row i's cached latency scores."""
-        cfg = self.cfg
-        cached = self._latency.get(i)
-        rows = blend_links(self.stats, i, cols, energies, cfg.initial_energy,
-                           cached[0] if cached else {}, cfg.a1, cfg.a2, cfg.a3)
-        self._write_trust(i, rows, changed)
-
-    def _rescore_latency(self, levels: list, energies: list[float], senders: set[int],
-                         changed: set[int]) -> None:
-        """Score each cached row's mean latencies against the current levels
-        and re-blend the links whose score moved; rows in ``senders`` were
-        just computed in full."""
-        cfg = self.cfg
-        reference = float(cfg.wc_max)
-        for i, (scores, means) in self._latency.items():
-            if i in senders:
-                continue
-            now = level_latency_scores(means, [levels[j] for j in scores],
-                                       cfg.latency_polarity, reference)
-            moved = []
-            for j, pl in zip(tuple(scores), now):
-                if scores[j] != pl:
-                    scores[j] = pl
-                    moved.append(j)
-            if moved:
-                self._reblend(i, moved, energies, changed)
+        for i in range(cfg.node_count):
+            yield i, node_trust(self.stats, i, self.topology.adjacency[i], levels,
+                                energies, cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
+                                cfg.latency_polarity, float(cfg.wc_max))
 
     def _recompute_trust(self) -> None:
         """Bring ``trust_table`` and the node verdict up to date.
 
         Link (i, j) reads the energies of i and j, the evidence on i's
         out-links, and how i's neighbours with latency evidence group by
-        level. Every row is computed in full on the first refresh; after
-        that, a row is computed in full when it has new evidence. When the
-        levels change, every other row with latency evidence scores its
-        cached mean latencies against the new levels and re-blends the links
-        whose score moved. Last, each link to or from a node whose energy
-        changed is re-blended. The verdict is kept by counting, per node, the
-        senders that have sent to it and those whose link to it is
-        trustworthy; only nodes whose counts moved are re-classified.
+        level. The links whose inputs changed are gathered in one map,
+        ``dirty``: row -> the columns to blend, or None for the whole row.
+        Every row is dirty on the first refresh; after that, the rows of
+        senders with new evidence and of nodes whose energy changed are
+        dirty in full. A sender's latency scores are derived afresh and
+        cached with their mean latencies; when the levels change, every
+        other cached row scores its means against the new levels and the
+        columns whose score moved become dirty. Each link into a node whose
+        energy changed is dirty too. Each dirty link is then blended once.
+        The verdict is kept by counting, per node, the senders that have
+        sent to it and those whose link to it is trustworthy; only nodes
+        whose counts moved are re-classified.
         """
-        n = self.cfg.node_count
+        cfg = self.cfg
+        n = cfg.node_count
         bs = self.bs
         adjacency = self.topology.adjacency
         stats = self.stats
         table = self.trust_table
-        th = self.cfg.trust_threshold
+        th = cfg.trust_threshold
+        vouching = self._vouching
+        cache = self._latency
+        reference = float(cfg.wc_max)
         levels, energies = self._trust_inputs()
         changed: set[int] = set()
-        # a link's first send makes it count, with its trust so far;
-        # _write_trust then counts it like any other when it crosses the
+        # a link's first send makes it count, with its trust so far; the
+        # blend below then counts it like any other when it crosses the
         # threshold
         for i, j in stats.take_first_sends():
             self._evidenced[j] += 1
             if table[i, j] > th:
-                self._vouching[j] += 1
+                vouching[j] += 1
             changed.add(j)
 
         senders = stats.take_senders()
         last = self._trust_energies
-        for i in (range(n) if last is None else senders):
-            self._refresh_row(i, levels, energies, changed)
+        fresh = range(n) if last is None else senders
+        for i in fresh:
+            scores, means = latency_scores(stats, i, adjacency[i], levels,
+                                           cfg.latency_polarity, reference)
+            if scores:
+                cache[i] = (scores, means)
+            else:
+                cache.pop(i, None)
+        dirty: dict[int, Optional[set[int]]] = dict.fromkeys(fresh)
         if last is not None:
             if self.levels is not self._trust_levels:
-                self._rescore_latency(levels, energies, senders, changed)
+                for i, (scores, means) in cache.items():
+                    if i in dirty:
+                        continue
+                    now = level_latency_scores(means, [levels[j] for j in scores],
+                                               cfg.latency_polarity, reference)
+                    for j, pl in zip(tuple(scores), now):
+                        if scores[j] != pl:
+                            scores[j] = pl
+                            dirty.setdefault(i, set()).add(j)
             drained = [k for k in range(n) if energies[k] != last[k]]
-            skip = senders.union(drained)
-            skip.add(bs)   # the sink has no row
-            inbound: dict[int, list[int]] = {}
+            dirty.update(dict.fromkeys(drained))
             for k in drained:
-                if k not in senders:
-                    self._reblend(k, adjacency[k], energies, changed)
                 for j in adjacency[k]:
-                    if j not in skip:
-                        inbound.setdefault(j, []).append(k)
-            for j, cols in inbound.items():
-                self._reblend(j, cols, energies, changed)
+                    if j != bs and dirty.get(j, ()) is not None:
+                        dirty.setdefault(j, set()).add(k)
         self._trust_energies = energies
         self._trust_levels = self.levels
 
-        node_class, evidenced, vouching = self.node_class, self._evidenced, self._vouching
+        for i, cols in dirty.items():
+            cached = cache.get(i)
+            for j, _, _, _, t_ij in blend_links(
+                    stats, i, adjacency[i] if cols is None else cols, energies,
+                    cfg.initial_energy, cached[0] if cached else {},
+                    cfg.a1, cfg.a2, cfg.a3):
+                old = table[i, j]
+                table[i, j] = t_ij
+                if (old > th) != (t_ij > th) and stats.link(i, j).packets_sent:
+                    vouching[j] += 1 if t_ij > th else -1
+                    changed.add(j)
+
+        node_class, evidenced = self.node_class, self._evidenced
         changed.discard(bs)
         for j in changed:
             node_class[j] = (MALICIOUS_NODE if evidenced[j] and not vouching[j]

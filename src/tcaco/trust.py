@@ -6,13 +6,16 @@ of the link, and a latency score comparing j against i's other candidates.
 The blend is a weighted mean, so scaling all weights together changes
 nothing.
 
-``level_latency_scores`` is the one computation of the latency scores and
-``blend_links`` the one computation of the other components and the
-blend; ``node_trust`` puts a node's whole row together from the two, for
-the engine and the trust dump alike. The engine keeps the node verdict up
-to date by counts. The tests hold independent per-link references for the
-three metrics and the full node verdict, and compare ``node_trust`` and
-the engine against them.
+``latency_scores`` (through ``level_latency_scores``) is the one
+computation of a row's latency scores and ``blend_links`` the one
+computation of the other components and the blend. The engine refreshes
+its trust table with the two in one pass over the links whose inputs
+changed, blending each of them once, and keeps the node verdict up to date
+by counts. ``node_trust`` puts a node's whole row together from the same
+two for ``Simulation.trust_rows()``, which serves the trust dump and the
+tests. The tests hold independent per-link references for the three
+metrics and the full node verdict, and compare ``node_trust`` and the
+engine against them.
 """
 
 from __future__ import annotations
@@ -176,6 +179,19 @@ def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
     return rows
 
 
+def latency_scores(stats: TrustStats, i: int, neighbors: Sequence[int],
+                   levels: Sequence, polarity: str, reference: float,
+                   ) -> tuple[dict[int, float], list[float]]:
+    """``({j: pl}, means)`` over the neighbors of i with latency evidence,
+    in ``neighbors`` order: their latency scores from
+    ``level_latency_scores`` and their mean latencies. ``levels`` is
+    indexed by endpoint id, the sink included."""
+    timed = [j for j in neighbors if stats.link(i, j).latency_count]
+    means = [stats.link(i, j).mean_latency() for j in timed]
+    scores = level_latency_scores(means, [levels[j] for j in timed], polarity, reference)
+    return dict(zip(timed, scores)), means
+
+
 def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
                levels: Sequence, energies: Sequence[float], e_init: float,
                a1: float, a2: float, a3: float, polarity: str,
@@ -183,12 +199,7 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
     """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
 
     ``levels`` and ``energies`` are indexed by endpoint id, the sink
-    included. Latency scores come from ``level_latency_scores`` over i's
-    neighbors with latency evidence.
+    included.
     """
-    timed = [j for j in neighbors if stats.link(i, j).latency_count]
-    scores = dict(zip(timed, level_latency_scores(
-        [stats.link(i, j).mean_latency() for j in timed], [levels[j] for j in timed],
-        polarity, reference)))
+    scores, _ = latency_scores(stats, i, neighbors, levels, polarity, reference)
     return blend_links(stats, i, neighbors, energies, e_init, scores, a1, a2, a3)
-

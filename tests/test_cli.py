@@ -60,6 +60,29 @@ class TestLoadExperiment:
         with pytest.raises(ConfigError, match="distinct"):
             load_experiment(write_cfg(tmp_path, {"seeds": [4, 4]}), parse_args([]))
 
+    def test_empty_seed_list_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, dict(SMALL, seeds=[], out_dir=str(tmp_path / "o")))
+        with pytest.raises(ConfigError, match="seed list is empty"):
+            load_experiment(path, parse_args([]))
+        assert main(["--config", path]) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "key"])
+    def test_replicate_count_must_match_the_seed_list(self, tmp_path, given):
+        def spec(count):
+            payload = dict(SMALL, seeds=[5, 6, 7], out_dir=str(tmp_path / f"o{count}"))
+            if given == "key":
+                payload["replicates"] = count
+            argv = ["--replicates", str(count)] if given == "flag" else []
+            return load_experiment(write_cfg(tmp_path, payload), parse_args(argv))
+
+        with pytest.raises(ConfigError, match=r"replicates 2 contradicts the 3 seeds \[5, 6, 7\]"):
+            spec(2)
+        matching = spec(3)
+        assert matching.seeds == (5, 6, 7)
+        assert run_experiment(matching) == 0
+        assert len(list((tmp_path / "o3").glob("*.csv"))) == 3
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="paket_size"):
             load_experiment(write_cfg(tmp_path, {"paket_size": 1}), parse_args([]))

@@ -5,6 +5,7 @@ import math
 import os
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -17,7 +18,7 @@ from tcaco.energy import tx_cost
 from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, compute_trust
+from tcaco.trust import MALICIOUS_NODE, blend_links, compute_trust
 import random
 
 from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
@@ -600,17 +601,35 @@ class TestIncrementalTrust:
 
     @staticmethod
     def run_checked(sim):
+        """Run ``sim`` to its end, checking after every cycle that its refresh
+        blended no link twice and that table and verdict equal the full
+        recomputation."""
         cfg = sim.cfg
-        while sim.cycle < cfg.max_cycles:
-            try:
-                sim.run_cycle()
-            except (SourceDead, DisconnectedNetwork):
-                break
-            full = {(i, j): t_ij for i, rows in sim.trust_rows()
-                    for j, _, _, _, t_ij in rows}
-            assert sim.trust_table == full, sim.cycle
-            assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
-                                              cfg.node_count), sim.cycle
+        blended = []
+
+        def recording(stats, i, cols, *args):
+            rows = blend_links(stats, i, cols, *args)
+            blended.extend((i, j) for j, *_ in rows)
+            return rows
+
+        refreshes = 0
+        with mock.patch("tcaco.trust.blend_links", recording), \
+                mock.patch("tcaco.engine.blend_links", recording):
+            while sim.cycle < cfg.max_cycles:
+                blended.clear()
+                try:
+                    sim.run_cycle()
+                except (SourceDead, DisconnectedNetwork):
+                    break
+                repeated = [link for link, k in Counter(blended).items() if k > 1]
+                assert not repeated, (sim.cycle, repeated)
+                refreshes += bool(blended)
+                full = {(i, j): t_ij for i, rows in sim.trust_rows()
+                        for j, _, _, _, t_ij in rows}
+                assert sim.trust_table == full, sim.cycle
+                assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
+                                                  cfg.node_count), sim.cycle
+        assert refreshes
         return sim
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
