@@ -79,7 +79,7 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
             out_dir = args.out
         if args.emit:
             emit = [e.strip() for e in args.emit.split(",") if e.strip()]
-        workers = args.workers or 1
+        workers = args.workers
 
     cfg = validate_config(cfg)
     problems = []
@@ -90,6 +90,8 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
             problems.append(f"unknown protocol {p!r}")
     if replicates is not None and replicates < 1:
         problems.append("replicates must be >= 1")
+    if workers < 1:
+        problems.append("workers must be >= 1")
     if seeds is None:
         seeds = [base_seed + k for k in range(1 if replicates is None else replicates)]
     elif not seeds:

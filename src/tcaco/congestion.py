@@ -65,37 +65,46 @@ def tick_wait_and_drop(queue: NodeQueue, cycle: int, wc_max: int) -> list[Packet
 class FlowHistory:
     """Per-node running inflow/outflow sums and end-of-cycle free buffer space.
 
-    ``record_cycle`` closes one cycle. Averages answer for the next cycle
-    and cover every recorded cycle, or only the most recent ``window`` of
-    them; a window keeps its rows so the sums can take back the oldest.
+    ``record_cycle`` closes one cycle from sparse maps: the nodes that
+    received or sent, and the nodes whose queue changed. Every other node
+    adds no flow and keeps its free space, which starts at the queue
+    capacity. Averages answer for the next cycle and cover every recorded
+    cycle, or only the most recent ``window`` of them; a window keeps its
+    rows (the flow maps) so the sums can take back the oldest.
     """
 
-    def __init__(self, node_count: int, window: Optional[int] = None):
+    def __init__(self, node_count: int, capacity: int, window: Optional[int] = None):
         if window is not None and window < 1:
             raise ValueError("window must be >= 1 when set")
-        self.node_count = node_count
         self.window = window
         self.cycles = 0
         self._in_sum = [0] * node_count
         self._out_sum = [0] * node_count
-        self._free = [0] * node_count
-        self._rows: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque()
+        self._free = [capacity] * node_count
+        self._rows: deque[tuple[dict[int, int], dict[int, int]]] = deque()
 
-    def record_cycle(self, inflows: list[int], outflows: list[int],
-                     free_spaces: list[int]) -> None:
-        in_sum, out_sum = self._in_sum, self._out_sum
-        for k in range(self.node_count):
-            in_sum[k] += inflows[k]
-            out_sum[k] += outflows[k]
-        self._free = list(free_spaces)
+    def record_cycle(self, inflows: dict[int, int], outflows: dict[int, int],
+                     free_spaces: dict[int, int]) -> None:
+        """Close one cycle: ``inflows`` and ``outflows`` map node ids to this
+        cycle's packet counts, ``free_spaces`` maps node ids to their queue's
+        free space now. A window keeps the two flow maps as they are, so the
+        caller hands them over and does not change them afterwards."""
+        in_sum, out_sum, free = self._in_sum, self._out_sum, self._free
+        for k, count in inflows.items():
+            in_sum[k] += count
+        for k, count in outflows.items():
+            out_sum[k] += count
+        for k, space in free_spaces.items():
+            free[k] = space
         self.cycles += 1
         if self.window is not None:
-            self._rows.append((tuple(inflows), tuple(outflows)))
+            self._rows.append((inflows, outflows))
             if len(self._rows) > self.window:
                 old_in, old_out = self._rows.popleft()
-                for k in range(self.node_count):
-                    in_sum[k] -= old_in[k]
-                    out_sum[k] -= old_out[k]
+                for k, count in old_in.items():
+                    in_sum[k] -= count
+                for k, count in old_out.items():
+                    out_sum[k] -= count
 
     def congestion_index(self, k: int) -> float:
         """Fraction of absorbed traffic the node fails to drain, in [0,1].

@@ -22,7 +22,7 @@ from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
 from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
-                      rank_by_probability, select_next_hop,
+                      live_adjacency, rank_by_probability, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
@@ -149,6 +149,7 @@ class Simulation:
 
         self.fixed_source = self._pick_fixed_source(positions)
         self.faults = self._assign_faults()
+        self._flooders = sorted(k for k, f in self.faults.items() if f.behavior == "flood")
         # remaining battery per node; a node transmits while it holds at least
         # the energy threshold and keeps receiving until its battery is empty
         self.energy = [cfg.initial_energy] * n
@@ -176,10 +177,23 @@ class Simulation:
         self._latency: dict[int, tuple[dict[int, float], list[float]]] = {}
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
                                         cfg.tau_floor, cfg.rho)
-        self.flow = FlowHistory(n, window=cfg.congestion_window)
+        self.flow = FlowHistory(n, cfg.queue_capacity, window=cfg.congestion_window)
 
         self.cycle = 0
         self._next_pid = 0
+        # transmit flags and the dead count, derived from ``energy`` at the
+        # first cycle and then kept up to date from the nodes each cycle
+        # debits (``_spent``); energy only ever goes down
+        self._alive: Optional[list[bool]] = None
+        self._dead_count = 0
+        self._spent: set[int] = set()
+        # live_adjacency of the alive nodes, rebuilt when the dead count moves
+        self._live: list[Optional[list[int]]] = []
+        self._live_dead_count = -1
+        # packets generated and not yet ended, and the nodes whose queue
+        # holds packets (during a cycle also those it emptied)
+        self._in_flight = 0
+        self._occupied: set[int] = set()
         self.levels: Optional[LevelAssignment] = None
         self._levels_source: Optional[int] = None
         self._levels_dead_count = -1
@@ -232,6 +246,7 @@ class Simulation:
     def _new_packet(self, origin: int, fake: bool = False) -> Packet:
         p = Packet(self._next_pid, origin, self.cycle, fake=fake)
         self._next_pid += 1
+        self._in_flight += 1
         self._row.generated += 1
         return p
 
@@ -239,13 +254,15 @@ class Simulation:
         """End a packet: resolve it, count it in this cycle's row and, when
         routes are logged, keep its line: cycle, id, fate, hop trail."""
         p.resolve(fate)
+        self._in_flight -= 1
         row = self._row
         setattr(row, fate, getattr(row, fate) + 1)
         if self.log_routes:
             trail = ">".join(map(str, p.hop_trail))
             self.route_log.append(f"{self.cycle}\t{p.id}\t{fate}\t{trail}")
 
-    def _pick_source(self, alive: list[bool]) -> int:
+    def _pick_source(self) -> int:
+        alive = self._alive
         if self.cfg.source_policy == "fixed":
             source = self.fixed_source
             if not alive[source]:
@@ -253,11 +270,10 @@ class Simulation:
             return source
         # honest nodes whose alive component reaches the base station; the
         # alive set only shrinks, so an unchanged dead count means the same pool
-        dead_count = alive.count(False)
+        dead_count = self._dead_count
         if self._pool_dead_count != dead_count:
-            hops = hops_from(self.topology,
-                             [j for j in self.topology.adjacency[self.bs] if alive[j]],
-                             alive)
+            hops = hops_from(self._live,
+                             [j for j in self.topology.adjacency[self.bs] if alive[j]])
             self._source_pool = [
                 i for i in range(self.cfg.node_count)
                 if hops[i] is not None and i not in self.faults
@@ -268,12 +284,12 @@ class Simulation:
             raise SourceDead("no alive honest node can reach the base station")
         return self.rng.choice(pool)
 
-    def _ensure_levels(self, source: int, alive: list[bool]) -> None:
-        dead_count = alive.count(False)
+    def _ensure_levels(self, source: int) -> None:
+        dead_count = self._dead_count
         if (self.levels is not None and self._levels_source == source
                 and self._levels_dead_count == dead_count):
             return
-        self.levels = assign_levels(self.topology, source, alive)
+        self.levels = assign_levels(self.topology, source, self._live)
         self._levels_source = source
         self._levels_dead_count = dead_count
 
@@ -327,7 +343,9 @@ class Simulation:
         """
         d = self.topology.distances[i][j]
         radio.debit(self.energy, i, radio.tx_cost(self.packet_bits, d, self.radio_params))
-        self._outflow_now[i] += 1
+        outflow = self._outflow_now
+        outflow[i] = outflow.get(i, 0) + 1
+        self._spent.add(i)
         self.stats.record_send(i, j)
         key = (i, j)
         self._tx_counts[key] = self._tx_counts.get(key, 0) + 1
@@ -345,7 +363,9 @@ class Simulation:
                 radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, self.radio_params))
             return True
 
-        self._inflow_now[j] += 1
+        inflow = self._inflow_now
+        inflow[j] = inflow.get(j, 0) + 1
+        self._spent.add(j)
         behavior = self.faults.get(j)
         if behavior is not None:
             self._row.forwarded_to_malicious += 1
@@ -368,6 +388,7 @@ class Simulation:
         if not self.queues[j].entries:
             # j sits one level past i, so its turn in the sweep is still to come
             heappush(self._sweep, (self.levels.levels[j], j))
+            self._occupied.add(j)
         # j was admissible, so its queue has room
         enqueue(self.queues[j], p, self.cycle)
 
@@ -423,7 +444,8 @@ class Simulation:
 
     def _age_queues(self) -> None:
         cycle, wc_max = self.cycle, self.cfg.wc_max
-        for queue in self.queues:
+        for k in sorted(self._occupied):
+            queue = self.queues[k]
             if not queue.entries:
                 continue
             for p in tick_wait_and_drop(queue, cycle, wc_max):
@@ -465,9 +487,13 @@ class Simulation:
         senders with new evidence and of nodes whose energy changed are
         dirty in full. A sender's latency scores are derived afresh and
         cached with their mean latencies; when the levels change, every
-        other cached row scores its means against the new levels and the
-        columns whose score moved become dirty. Each link into a node whose
-        energy changed is dirty too. Each dirty link is then blended once.
+        other cached row with at least two timed neighbours scores its means
+        against the new levels and the columns whose score moved become
+        dirty (a lone timed neighbour is scored against the reference
+        latency, whatever the levels). Each link into a node whose energy
+        changed is dirty too; after the first refresh, energy changes only
+        through the debits of the cycle, so only the nodes it spent on are
+        compared. Each dirty link is then blended once.
         The verdict is kept by counting, per node, the senders that have
         sent to it and those whose link to it is trustworthy; only nodes
         whose counts moved are re-classified.
@@ -507,7 +533,7 @@ class Simulation:
         if last is not None:
             if self.levels is not self._trust_levels:
                 for i, (scores, means) in cache.items():
-                    if i in dirty:
+                    if i in dirty or len(means) < 2:
                         continue
                     now = level_latency_scores(means, [levels[j] for j in scores],
                                                cfg.latency_polarity, reference)
@@ -515,7 +541,7 @@ class Simulation:
                         if scores[j] != pl:
                             scores[j] = pl
                             dirty.setdefault(i, set()).add(j)
-            drained = [k for k in range(n) if energies[k] != last[k]]
+            drained = [k for k in self._spent if energies[k] != last[k]]
             dirty.update(dict.fromkeys(drained))
             for k in drained:
                 for j in adjacency[k]:
@@ -546,30 +572,40 @@ class Simulation:
         """Advance the simulation by one cycle and return its statistics."""
         cfg = self.cfg
         self.cycle += 1
-        # the cycle in progress: its row, its flows and its transfers per link
+        # the cycle in progress: its row, its flows and its transfers per link,
+        # and the nodes it debits
         row = self._row = CycleStats(self.cycle)
-        self._inflow_now = [0] * cfg.node_count
-        self._outflow_now = [0] * cfg.node_count
+        self._inflow_now: dict[int, int] = {}
+        self._outflow_now: dict[int, int] = {}
         self._tx_counts: dict[tuple[int, int], int] = {}
+        spent = self._spent = set()
 
-        alive = [e >= cfg.energy_threshold for e in self.energy]
-        source = self._pick_source(alive)
-        self._ensure_levels(source, alive)
+        if self._alive is None:
+            self._alive = [e >= cfg.energy_threshold for e in self.energy]
+            self._dead_count = len(self._alive) - sum(self._alive)
+        alive = self._alive
+        if self._live_dead_count != self._dead_count:
+            self._live = live_adjacency(self.topology, alive)
+            self._live_dead_count = self._dead_count
+        source = self._pick_source()
+        self._ensure_levels(source)
 
         # 1. traffic generation; the application buffer is not capacity-bound
+        queue = self.queues[source].entries
         for _ in range(cfg.packets_per_round):
-            self.queues[source].entries.append(self._new_packet(source))
+            queue.append(self._new_packet(source))
+        occupied = self._occupied
+        occupied.add(source)
 
         # 2. flood faults blast fake packets at random neighbors, ignoring
         # flow control entirely; victims' buffers can overflow
-        for f_id in sorted(self.faults):
-            behavior = self.faults[f_id]
-            if behavior.behavior != "flood" or not alive[f_id]:
+        for f_id in self._flooders:
+            if not alive[f_id]:
                 continue
             victims = [j for j in self.topology.adjacency[f_id] if j != self.bs]
             if not victims:
                 continue
-            for _ in range(behavior.rate):
+            for _ in range(self.faults[f_id].rate):
                 if self.energy[f_id] < cfg.energy_threshold:
                     break
                 k = self.rng.choice(victims)
@@ -579,8 +615,12 @@ class Simulation:
                 radio.debit(self.energy, f_id,
                             radio.tx_cost(self.packet_bits, d, self.radio_params))
                 radio.debit(self.energy, k, radio.rx_cost(self.packet_bits, self.radio_params))
-                self._inflow_now[k] += 1
-                if not enqueue(self.queues[k], fake, self.cycle):
+                spent.add(f_id)
+                spent.add(k)
+                self._inflow_now[k] = self._inflow_now.get(k, 0) + 1
+                if enqueue(self.queues[k], fake, self.cycle):
+                    occupied.add(k)
+                else:
                     self._finish(fake, DROPPED_OVERFLOW)
 
         # 3./4. forwarding sweep, levels ascending, node ids ascending, over
@@ -588,8 +628,7 @@ class Simulation:
         # _transmit adds each node whose empty queue it fills
         levels = self.levels.levels
         sweep = self._sweep
-        sweep.extend((levels[i], i) for i, queue in enumerate(self.queues)
-                     if queue.entries and levels[i] is not None)
+        sweep.extend((levels[i], i) for i in occupied if levels[i] is not None)
         heapify(sweep)
         while sweep:
             level_i, i = heappop(sweep)
@@ -598,9 +637,12 @@ class Simulation:
         # 5. queue aging and timeout drops
         self._age_queues()
 
-        # 6. close this cycle's flow-history row
-        free = [self.queues[k].free_space() for k in range(cfg.node_count)]
-        self.flow.record_cycle(self._inflow_now, self._outflow_now, free)
+        # 6. close this cycle's flow-history row; a queue outside the
+        # occupied set was empty at the end of the last cycle and still is
+        queues = self.queues
+        self.flow.record_cycle(self._inflow_now, self._outflow_now,
+                               {k: queues[k].free_space() for k in occupied})
+        self._occupied = {k for k in occupied if queues[k].entries}
 
         # 7. pheromone evaporation and deposits
         if self.needs_pheromone:
@@ -612,9 +654,13 @@ class Simulation:
             self._recompute_trust()
 
         # 9. metrics
-        row.dead_nodes = sum(e < cfg.energy_threshold for e in self.energy)
+        for k in spent:
+            if alive[k] and self.energy[k] < cfg.energy_threshold:
+                alive[k] = False
+                self._dead_count += 1
+        row.dead_nodes = self._dead_count
         row.total_energy_j = sum(self.energy)
-        row.in_flight = sum(len(q) for q in self.queues)
+        row.in_flight = self._in_flight
         self.metric_rows.append(row)
         return row
 

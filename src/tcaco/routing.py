@@ -30,16 +30,29 @@ class LevelAssignment:
     bs_level: int                      # r: the sink's level on the delivery path
 
 
-def hops_from(topology: Topology, roots: Sequence[int],
-              alive: Sequence[bool]) -> list[Optional[int]]:
-    """Breadth-first hop count of every node from the nearest root.
-
-    The roots (alive sensor nodes) are at hop 0. The search crosses alive
-    sensor nodes only and never passes through the sink; nodes it does
-    not reach get None.
-    """
+def live_adjacency(topology: Topology,
+                   alive: Optional[Sequence[bool]] = None) -> list[Optional[list[int]]]:
+    """Per sensor node: None when it is dead, else its alive sensor
+    neighbours in ascending id order. The sink is left out of every row, so
+    a search over these rows never passes through it. ``alive`` defaults to
+    every node alive."""
     bs = topology.bs_id
-    hops: list[Optional[int]] = [None] * topology.node_count
+    adjacency = topology.adjacency
+    if alive is None:
+        alive = [True] * topology.node_count
+    return [[j for j in adjacency[i] if j != bs and alive[j]] if alive[i] else None
+            for i in range(topology.node_count)]
+
+
+def hops_from(live: Sequence[Optional[Sequence[int]]],
+              roots: Sequence[int]) -> list[Optional[int]]:
+    """Breadth-first hop count of every node from the nearest root over a
+    ``live_adjacency``.
+
+    The roots (alive sensor nodes) are at hop 0; nodes the search does not
+    reach get None.
+    """
+    hops: list[Optional[int]] = [None] * len(live)
     for r in roots:
         hops[r] = 0
     frontier = list(roots)
@@ -48,31 +61,31 @@ def hops_from(topology: Topology, roots: Sequence[int],
         depth += 1
         nxt = []
         for i in frontier:
-            for j in topology.adjacency[i]:
-                if j == bs or not alive[j] or hops[j] is not None:
-                    continue
-                hops[j] = depth
-                nxt.append(j)
+            for j in live[i]:
+                if hops[j] is None:
+                    hops[j] = depth
+                    nxt.append(j)
         frontier = nxt
     return hops
 
 
 def assign_levels(topology: Topology, source: int,
-                  alive: Optional[Sequence[bool]] = None) -> LevelAssignment:
+                  live: Optional[Sequence[Optional[Sequence[int]]]] = None,
+                  ) -> LevelAssignment:
     """Breadth-first hop counts from the source over transmitting nodes.
 
-    Dead nodes neither relay nor get a level. The sink's level is one past
-    its nearest labeled neighbor; if no neighbor of the sink is reachable
-    the network is disconnected for this source.
+    ``live`` is the ``live_adjacency`` of the alive nodes, every node alive
+    by default. Dead nodes neither relay nor get a level. The sink's level
+    is one past its nearest labeled neighbor; if no neighbor of the sink is
+    reachable the network is disconnected for this source.
     """
-    if alive is None:
-        alive = [True] * topology.node_count
-    if not alive[source]:
+    if live is None:
+        live = live_adjacency(topology)
+    if live[source] is None:
         raise DisconnectedNetwork(f"source {source} is not alive")
-    levels = hops_from(topology, [source], alive)
+    levels = hops_from(live, [source])
     bs_neighbor_levels = [
-        levels[j] for j in topology.adjacency[topology.bs_id]
-        if alive[j] and levels[j] is not None
+        levels[j] for j in topology.adjacency[topology.bs_id] if levels[j] is not None
     ]
     if not bs_neighbor_levels:
         raise DisconnectedNetwork("base station unreachable from the source")

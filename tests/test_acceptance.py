@@ -36,9 +36,9 @@ def report(num, name, ok, detail=""):
 
 
 def ci_case(inflows, outflows, frees):
-    h = FlowHistory(1)
+    h = FlowHistory(1, 10)
     for a, b, f in zip(inflows, outflows, frees):
-        h.record_cycle([a], [b], [f])
+        h.record_cycle({0: a}, {0: b}, {0: f})
     return h.congestion_index(0)
 
 
@@ -142,13 +142,13 @@ def test_criterion_3_congestion_oracle_equivalence():
     for _ in range(1000):
         nodes = rng.randint(1, 5)
         cycles = rng.randint(2, 20)
-        h = FlowHistory(nodes)
+        h = FlowHistory(nodes, 10)
         trace = {k: ([], [], []) for k in range(nodes)}
         for _ in range(cycles):
             a = [rng.randint(0, 30) for _ in range(nodes)]
             b = [rng.randint(0, 30) for _ in range(nodes)]
             f = [rng.randint(0, 10) for _ in range(nodes)]
-            h.record_cycle(a, b, f)
+            h.record_cycle(dict(enumerate(a)), dict(enumerate(b)), dict(enumerate(f)))
             for k in range(nodes):
                 trace[k][0].append(a[k])
                 trace[k][1].append(b[k])
@@ -324,7 +324,7 @@ def test_criterion_9_degenerate_inputs():
     probs = transition_probabilities(
         [(1, 0.0, 10.0, 1.0), (2, 0.0, 25.0, 2.0), (3, 0.0, 40.0, 0.5)], 1, 1, 1)
     checks.append(all(abs(v - 1 / 3) <= TOL for v in probs.values()))
-    checks.append(FlowHistory(1).congestion_index(0) == 0.0)
+    checks.append(FlowHistory(1, 10).congestion_index(0) == 0.0)
     table = PheromoneTable([(1,), ()], 1.0, 1e-6, 0.1)
     for _ in range(10_000):
         table.update_cycle({}, lambda i, j: 10.0)

@@ -83,6 +83,14 @@ class TestLoadExperiment:
         assert run_experiment(matching) == 0
         assert len(list((tmp_path / "o3").glob("*.csv"))) == 3
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        path = write_cfg(tmp_path, dict(SMALL, out_dir=str(tmp_path / "o")))
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            load_experiment(path, parse_args(["--workers", workers]))
+        assert main(["--config", path, "--workers", workers]) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="paket_size"):
             load_experiment(write_cfg(tmp_path, {"paket_size": 1}), parse_args([]))

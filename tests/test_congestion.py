@@ -84,9 +84,9 @@ class TestTick:
 
 def history_from(inflows, outflows, frees):
     """Build a FlowHistory for one node from per-cycle columns."""
-    h = FlowHistory(1)
+    h = FlowHistory(1, 10)
     for a, b, f in zip(inflows, outflows, frees):
-        h.record_cycle([a], [b], [f])
+        h.record_cycle({0: a}, {0: b}, {0: f})
     return h
 
 
@@ -120,7 +120,7 @@ class TestFlowAverages:
 
 class TestCongestionIndex:
     def test_bootstrap_zero_before_history(self):
-        assert FlowHistory(1).congestion_index(0) == 0.0
+        assert FlowHistory(1, 10).congestion_index(0) == 0.0
 
     def test_hand_value(self):
         # r_in 5, free space 1, r_out 3 -> (5+1-3)/(5+1)
@@ -145,11 +145,20 @@ class TestCongestionIndex:
         h = history_from([0], [0], [0])
         assert h.congestion_index(0) == 0.0
 
+    def test_untouched_node_reads_a_full_queue(self):
+        # node 1 neither sends, receives nor changes its queue in the first
+        # cycle, so its free space is still the capacity: (0+10-0)/(0+10)
+        h = FlowHistory(2, 10)
+        h.record_cycle({0: 3}, {0: 1}, {0: 8})
+        assert h.congestion_index(0) == 10 / 11
+        assert h.congestion_index(1) == 1.0
+
     def test_in_unit_interval(self):
         rng = random.Random(5)
-        h = FlowHistory(1)
+        h = FlowHistory(1, 10)
         for _ in range(50):
-            h.record_cycle([rng.randrange(20)], [rng.randrange(20)], [rng.randrange(11)])
+            h.record_cycle({0: rng.randrange(20)}, {0: rng.randrange(20)},
+                           {0: rng.randrange(11)})
             assert 0.0 <= h.congestion_index(0) <= 1.0
 
 
@@ -177,7 +186,8 @@ trace = st.integers(min_value=2, max_value=20).flatmap(
                 st.tuples(
                     st.lists(st.integers(0, 30), min_size=nodes, max_size=nodes),
                     st.lists(st.integers(0, 30), min_size=nodes, max_size=nodes),
-                    st.lists(st.integers(0, 10), min_size=nodes, max_size=nodes),
+                    # None: the node's queue did not change this cycle
+                    st.lists(st.none() | st.integers(0, 10), min_size=nodes, max_size=nodes),
                 ),
                 min_size=cycles, max_size=cycles,
             ),
@@ -190,16 +200,21 @@ trace = st.integers(min_value=2, max_value=20).flatmap(
 @given(trace, st.sampled_from([None, 1, 3, 8]))
 def test_incremental_matches_replay_exactly(data, window):
     nodes, rows = data
-    h = FlowHistory(nodes, window=window)
+    capacity = 10
+    h = FlowHistory(nodes, capacity, window=window)
     inflows = [[] for _ in range(nodes)]
     outflows = [[] for _ in range(nodes)]
     frees = [[] for _ in range(nodes)]
     for c, (a, b, f) in enumerate(rows, start=2):
-        h.record_cycle(a, b, f)
+        # sparse maps: nodes without flow or without a queue change left out
+        h.record_cycle({k: v for k, v in enumerate(a) if v},
+                       {k: v for k, v in enumerate(b) if v},
+                       {k: v for k, v in enumerate(f) if v is not None})
         for k in range(nodes):
             inflows[k].append(a[k])
             outflows[k].append(b[k])
-            frees[k].append(f[k])
+            last = frees[k][-1] if frees[k] else capacity
+            frees[k].append(last if f[k] is None else f[k])
         for k in range(nodes):
             assert h.congestion_index(k) == replay_congestion_index(
                 inflows, outflows, frees, k, c, window)

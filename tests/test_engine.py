@@ -17,6 +17,7 @@ from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, deploy_nodes,
 from tcaco.energy import tx_cost
 from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
+from tcaco.routing import live_adjacency
 from tcaco.topology import DisconnectedNetwork
 from tcaco.trust import MALICIOUS_NODE, blend_links, compute_trust
 import random
@@ -583,6 +584,57 @@ class TestRouteLog:
         assert freed <= 150 * logged, f"{freed / logged:.0f} bytes per line"
 
 
+class TestKeptCounters:
+    """The alive flags, dead count, in-flight count, occupied set and flow
+    history that the engine keeps from the nodes each cycle touches equal a
+    full recomputation over every node after every cycle."""
+
+    CASES = {
+        "dying": ("tc_aco", DYING),
+        "storm": ("dist_aco", {**TestRouteLog.STORM, "node_count": 40,
+                               "packets_per_round": 30, "max_cycles": 80,
+                               "initial_energy": 0.2}),
+        "congestion_window": ("tc_aco", {**DYING, "congestion_window": 3,
+                                         "max_cycles": 120}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kept_values_equal_a_full_recomputation(self, case):
+        protocol, params = self.CASES[case]
+        cfg = SimConfig(**params)
+        sim = Simulation(cfg, protocol=protocol, seed=4)
+        n, th, window = cfg.node_count, cfg.energy_threshold, cfg.congestion_window
+        in_rows, out_rows = [], []
+        deaths = 0
+        while sim.cycle < cfg.max_cycles:
+            alive_before = [e >= th for e in sim.energy]
+            try:
+                row = sim.run_cycle()
+            except (SourceDead, DisconnectedNetwork):
+                break
+            alive = [e >= th for e in sim.energy]
+            deaths += alive != alive_before
+            assert sim._alive == alive, sim.cycle
+            assert sim._dead_count == row.dead_nodes == n - sum(alive), sim.cycle
+            assert sim._live == live_adjacency(sim.topology, alive_before), sim.cycle
+            assert sim._in_flight == row.in_flight == sum(map(len, sim.queues)), sim.cycle
+            assert sim._occupied == {k for k, q in enumerate(sim.queues) if q.entries}, sim.cycle
+
+            # dense replay of the flow history from this cycle's maps
+            sent = Counter()
+            for (i, _), count in sim._tx_counts.items():
+                sent[i] += count
+            assert sim._outflow_now == dict(sent), sim.cycle
+            in_rows.append([sim._inflow_now.get(k, 0) for k in range(n)])
+            out_rows.append([sim._outflow_now.get(k, 0) for k in range(n)])
+            span = slice(None) if window is None else slice(-window, None)
+            assert sim.flow._in_sum == [sum(c) for c in zip(*in_rows[span])], sim.cycle
+            assert sim.flow._out_sum == [sum(c) for c in zip(*out_rows[span])], sim.cycle
+            assert sim.flow._free == [q.free_space() for q in sim.queues], sim.cycle
+        assert sim.cycle > 40 and deaths > 0
+        assert any(row.in_flight for row in sim.metric_rows)
+
+
 class TestIncrementalTrust:
     """The engine refreshes only trust rows whose inputs changed; after every
     cycle its table and verdict must equal the full recomputation."""
@@ -649,15 +701,16 @@ class TestIncrementalTrust:
     def test_first_send_on_an_untrustworthy_link_does_not_vouch(self):
         cfg = SimConfig(**{**self.SPARSE, "trust_threshold": 0.8, "fault_spec": ()})
         sim = Simulation(cfg, seed=3)
-        sim.run_cycle()
         # at 0.3 of their energy, links between nodes without evidence score
-        # (0.3 + 1 + 1) / 3 < 0.8
+        # (0.3 + 1 + 1) / 3 < 0.8; the engine takes up energy written before
+        # its first cycle, and after that only its own debits
         sim.energy[:] = [e * 0.3 for e in sim.energy]
-        sim._recompute_trust()
+        sim.run_cycle()
         adjacency = sim.topology.adjacency
         i, j = next((i, j) for (i, j) in sim.trust_table
                     if j != sim.bs and not any(sim.stats.link(k, j).packets_sent
                                                for k in adjacency[j]))
+        assert sim.trust_table[i, j] <= cfg.trust_threshold
         sim.stats.record_send(i, j)
         sim.stats.record_ack(i, j)
         sim._recompute_trust()

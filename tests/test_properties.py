@@ -10,7 +10,8 @@ from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLAR
                           SOURCE_POLICIES, FaultSpec, SimConfig)
 from tcaco.engine import PROTOCOLS, Simulation, SourceDead
 from tcaco.model import TERMINAL_FATES
-from tcaco.topology import DisconnectedNetwork
+from tcaco.routing import assign_levels, hops_from, live_adjacency
+from tcaco.topology import DisconnectedNetwork, build_topology
 
 from test_engine import conserved_totals, route_lines
 from test_trust import classify
@@ -87,3 +88,58 @@ def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
         assert sim.trust_table == full, sim.cycle
         assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
                                           cfg.node_count), sim.cycle
+
+
+def reference_hops(topology, roots, alive):
+    """Breadth-first hops over the full adjacency, skipping the sink, dead
+    nodes and visited nodes as each neighbour is met."""
+    hops = [None] * topology.node_count
+    for r in roots:
+        hops[r] = 0
+    frontier, depth = list(roots), 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for i in frontier:
+            for j in topology.adjacency[i]:
+                if j == topology.bs_id or not alive[j] or hops[j] is not None:
+                    continue
+                hops[j] = depth
+                nxt.append(j)
+        frontier = nxt
+    return hops
+
+
+points = st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+graphs = st.lists(st.tuples(points, st.booleans()), min_size=1, max_size=25).flatmap(
+    lambda nodes: st.tuples(st.just(nodes), points, st.floats(10.0, 60.0),
+                            st.integers(0, len(nodes) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs)
+def test_live_adjacency_search_equals_the_filtered_search(graph):
+    """Levels and the sink's alive component, searched over the live
+    adjacency, equal a search over the full adjacency that filters as it
+    goes."""
+    nodes, bs_position, radio_range, source = graph
+    try:
+        topology = build_topology([p for p, _ in nodes], bs_position, radio_range)
+    except DisconnectedNetwork:
+        assume(False)   # no node within radio range of the sink
+    alive = [a for _, a in nodes]
+    live = live_adjacency(topology, alive)
+    sink_roots = [j for j in topology.adjacency[topology.bs_id] if alive[j]]
+    assert hops_from(live, sink_roots) == reference_hops(topology, sink_roots, alive)
+
+    want = reference_hops(topology, [source], alive)
+    reached = [want[j] for j in topology.adjacency[topology.bs_id] if want[j] is not None]
+    if not alive[source] or not reached:
+        try:
+            assign_levels(topology, source, live)
+        except DisconnectedNetwork:
+            return
+        raise AssertionError("a dead source or an unreachable sink got levels")
+    levels = assign_levels(topology, source, live)
+    assert levels.levels == tuple(want)
+    assert levels.bs_level == min(reached) + 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcaco.routing import (NoValidCandidates, PheromoneTable, assign_levels,
-                           rank_by_probability, select_next_hop,
+                           live_adjacency, rank_by_probability, select_next_hop,
                            transition_probabilities, trust_congestion_metric)
 from tcaco.topology import DisconnectedNetwork, build_topology
 
@@ -45,11 +45,12 @@ class TestLevels:
     def test_dead_nodes_do_not_relay(self):
         topo = chain_topology()
         with pytest.raises(DisconnectedNetwork):
-            assign_levels(topo, source=0, alive=[True, False, True])
+            assign_levels(topo, source=0, live=live_adjacency(topo, [True, False, True]))
 
     def test_dead_source_rejected(self):
+        topo = chain_topology()
         with pytest.raises(DisconnectedNetwork):
-            assign_levels(chain_topology(), source=0, alive=[False, True, True])
+            assign_levels(topo, source=0, live=live_adjacency(topo, [False, True, True]))
 
 
 class TestTrustCongestionMetric:
