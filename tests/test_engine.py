@@ -642,7 +642,7 @@ class TestIncrementalTrust:
     GOLDEN_CASES = [f"{protocol}_{mode}" for protocol in ("tc_aco", "trust_greedy")
                     for mode in ("deterministic_rank", "stochastic_roulette")] + [
         "fault_drop", "fault_duplicate", "fault_flood", "fault_delay",
-        "literal_polarities", "congestion_window"]
+        "literal_polarities", "congestion_window", "fixed_source"]
 
     # light traffic on a wide network: most rows keep their energies and
     # evidence from one cycle to the next while the rotating source moves

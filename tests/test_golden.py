@@ -1,8 +1,8 @@
 """Byte-identity goldens for the per-cycle CSV across the configuration space.
 
 One small run per protocol and forwarding mode, one per fault behaviour,
-one with both literal polarities, and one with a rolling congestion
-window, plus the trust dump of one tc_aco run and the route dump of the
+one with both literal polarities, one with a rolling congestion window,
+and one under a fixed source, plus the trust dump of one tc_aco run and the route dump of the
 delay-fault run. Refactors must leave every file byte-identical; a change
 that alters one must say why in CHANGES.md.
 
@@ -46,6 +46,8 @@ CASES = {
                     FaultSpec(behavior="delay", fraction=0.15, extra=2)))),
     "congestion_window": ("tc_aco", dict(
         rng_seed=7, congestion_window=3, fault_spec=(FAULTS["flood"],))),
+    # relays die under a fixed source, so its levels are recomputed on deaths
+    "fixed_source": ("tc_aco", dict(rng_seed=7, source_policy="fixed", fault_spec=DROP)),
 }
 
 
