@@ -1,6 +1,6 @@
 """Trust-based, congestion-aware ant-routing simulator for sensor networks."""
 
-from .config import (ConfigError, FaultSpec, ParseError, RadioParams, SimConfig,
+from .config import (ConfigError, FaultSpec, ParseError, SimConfig,
                      load_config, validate_config)
 from .engine import (PROTOCOLS, CycleStats, SimMetrics, Simulation,
                      extract_milestones, run_simulation)
@@ -13,7 +13,6 @@ __all__ = [
     "FaultSpec",
     "ParseError",
     "PROTOCOLS",
-    "RadioParams",
     "SimConfig",
     "SimMetrics",
     "Simulation",

@@ -28,14 +28,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class RadioParams:
-    """First-order radio constants: electronics J/bit and free-space amp J/bit/m^2."""
-
-    e_elec: float = 50e-9
-    eps_fs: float = 100e-12
-
-
-@dataclass(frozen=True)
 class FaultSpec:
     """One fault assignment: which nodes misbehave and how.
 
@@ -72,8 +64,8 @@ class SimConfig:
     # Energy
     initial_energy: float = 1.0
     energy_threshold: float = 0.01
-    e_elec: float = 50e-9
-    eps_fs: float = 100e-12
+    e_elec: float = 50e-9     # J/bit, radio electronics
+    eps_fs: float = 100e-12   # J/bit/m^2, free-space amplifier
     packet_size_bits: int = 2000
     ack_size_fraction: float = 0.1
 
@@ -114,9 +106,6 @@ class SimConfig:
     fault_spec: tuple[FaultSpec, ...] = ()
     max_cycles: int = 5000
     rng_seed: int = 1
-
-    def radio_params(self) -> RadioParams:
-        return RadioParams(e_elec=self.e_elec, eps_fs=self.eps_fs)
 
     def effective_bs_position(self) -> tuple[float, float]:
         if self.bs_position is not None:

@@ -1,4 +1,5 @@
-"""Bounded FIFO node queues, queue-stamp timeouts, and the congestion index.
+"""Bounded FIFO node queues (plain packet lists), queue-stamp timeouts, and
+the congestion index.
 
 The congestion index of a node compares how much traffic it absorbs
 (average inflow plus free buffer space) against how much it drains
@@ -16,49 +17,29 @@ from typing import Optional
 from .model import Packet
 
 
-class NodeQueue:
-    """FIFO packet buffer with a hard capacity."""
-
-    __slots__ = ("capacity", "entries")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: list[Packet] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self.entries) >= self.capacity
-
-    def free_space(self) -> int:
-        return max(0, self.capacity - len(self.entries))
-
-
-def enqueue(queue: NodeQueue, packet: Packet, cycle: int) -> bool:
-    """Append the packet stamped with ``cycle``; False when the queue is full."""
-    if queue.full:
+def enqueue(queue: list[Packet], packet: Packet, cycle: int, capacity: int) -> bool:
+    """Append the packet stamped with ``cycle``; False when the queue holds
+    ``capacity`` packets or more."""
+    if len(queue) >= capacity:
         return False
     packet.queued_at = cycle
-    queue.entries.append(packet)
+    queue.append(packet)
     return True
 
 
-def tick_wait_and_drop(queue: NodeQueue, cycle: int, wc_max: int) -> list[Packet]:
+def tick_wait_and_drop(queue: list[Packet], cycle: int, wc_max: int) -> list[Packet]:
     """Remove and return the packets queued ``wc_max`` or more cycles before ``cycle``.
 
     Packets are only appended, with the current cycle, and never reordered,
     so the expired ones are always at the front.
     """
-    entries = queue.entries
     k = 0
-    for p in entries:
+    for p in queue:
         if cycle - p.queued_at < wc_max:
             break
         k += 1
-    expired = entries[:k]
-    del entries[:k]
+    expired = queue[:k]
+    del queue[:k]
     return expired
 
 

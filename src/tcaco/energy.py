@@ -2,20 +2,21 @@
 
 Transmitting ``bits`` over distance ``d`` costs e_elec*bits for the
 electronics plus eps_fs*bits*d^2 for the free-space amplifier; receiving
-costs the electronics term alone.
+costs the electronics term alone. Both constants are read from the
+config's ``e_elec`` and ``eps_fs``.
 """
 
 from __future__ import annotations
 
-from .config import RadioParams
+from .config import SimConfig
 
 
-def tx_cost(bits: int, d: float, params: RadioParams) -> float:
-    return params.e_elec * bits + params.eps_fs * bits * d * d
+def tx_cost(bits: int, d: float, cfg: SimConfig) -> float:
+    return cfg.e_elec * bits + cfg.eps_fs * bits * d * d
 
 
-def rx_cost(bits: int, params: RadioParams) -> float:
-    return params.e_elec * bits
+def rx_cost(bits: int, cfg: SimConfig) -> float:
+    return cfg.e_elec * bits
 
 
 def debit(energy: list[float], k: int, amount: float) -> None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
-from .congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
+from .congestion import FlowHistory, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
 from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       live_adjacency, rank_by_probability, select_next_hop,
@@ -153,9 +153,10 @@ class Simulation:
         # remaining battery per node; a node transmits while it holds at least
         # the energy threshold and keeps receiving until its battery is empty
         self.energy = [cfg.initial_energy] * n
-        self.queues = [NodeQueue(cfg.queue_capacity) for _ in range(n)]
+        # FIFO packet buffer per node; forwarding fills one up to
+        # queue_capacity, the source's generation can take it past that
+        self.queues: list[list[Packet]] = [[] for _ in range(n)]
 
-        self.radio_params = cfg.radio_params()
         self.packet_bits = cfg.packet_size_bits
         self.ack_bits = int(round(cfg.ack_size_fraction * cfg.packet_size_bits))
         self.latency_penalty = cfg.effective_latency_penalty()
@@ -164,15 +165,14 @@ class Simulation:
         self.trust_table: dict[tuple[int, int], float] = {
             (i, j): 1.0 for i in range(n) for j in self.topology.adjacency[i]
         }
-        self.node_class = {i: TRUSTED_NODE for i in range(n)}
         # per endpoint: senders that have sent to it, and those of them whose
-        # link to it is trustworthy; the verdict follows from the two counts
+        # link to it is trustworthy; the verdict (node_class) follows from them
         self._evidenced = [0] * (n + 1)
         self._vouching = [0] * (n + 1)
-        # what the trust table was last brought up to date with, and per row
-        # with latency evidence, {j: pl} over those neighbours in adjacency
-        # order plus their mean latencies (see _recompute_trust)
-        self._trust_energies: Optional[list[float]] = None
+        # the levels the trust table was last brought up to date with (None
+        # before its first refresh), and per row with latency evidence,
+        # {j: pl} over those neighbours in adjacency order plus their mean
+        # latencies (see _recompute_trust)
         self._trust_levels: Optional[LevelAssignment] = None
         self._latency: dict[int, tuple[dict[int, float], list[float]]] = {}
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
@@ -187,24 +187,29 @@ class Simulation:
         self._alive: Optional[list[bool]] = None
         self._dead_count = 0
         self._spent: set[int] = set()
-        # live_adjacency of the alive nodes, rebuilt when the dead count moves
+        # live_adjacency of the alive nodes, rebuilt when a death is recorded
         self._live: list[Optional[list[int]]] = []
-        self._live_dead_count = -1
         # packets generated and not yet ended, and the nodes whose queue
         # holds packets (during a cycle also those it emptied)
         self._in_flight = 0
         self._occupied: set[int] = set()
         self.levels: Optional[LevelAssignment] = None
         self._levels_source: Optional[int] = None
-        self._levels_dead_count = -1
-        self._source_pool: list[int] = []
-        self._pool_dead_count = -1
+        self._source_pool: Optional[list[int]] = None
         self.metric_rows: list[CycleStats] = []
         # the forwarding sweep's heap of (level, id), filled by run_cycle and
         # added to by _transmit
         self._sweep: list[tuple[int, int]] = []
         # one rendered line per terminal packet, when routes are logged
         self.route_log: list[str] = []
+
+    @property
+    def node_class(self) -> dict[int, str]:
+        """Verdict per node: malicious when some sender has sent to it and
+        none of those senders' links to it is trustworthy, else trusted."""
+        evidenced, vouching = self._evidenced, self._vouching
+        return {j: MALICIOUS_NODE if evidenced[j] and not vouching[j] else TRUSTED_NODE
+                for j in range(self.cfg.node_count)}
 
     # ------------------------------------------------------------------ setup
 
@@ -269,35 +274,32 @@ class Simulation:
                 raise SourceDead(f"fixed source {source} fell below the energy threshold")
             return source
         # honest nodes whose alive component reaches the base station; the
-        # alive set only shrinks, so an unchanged dead count means the same pool
-        dead_count = self._dead_count
-        if self._pool_dead_count != dead_count:
+        # pool holds until a node dies
+        if self._source_pool is None:
             hops = hops_from(self._live,
                              [j for j in self.topology.adjacency[self.bs] if alive[j]])
             self._source_pool = [
                 i for i in range(self.cfg.node_count)
                 if hops[i] is not None and i not in self.faults
             ]
-            self._pool_dead_count = dead_count
         pool = self._source_pool
         if not pool:
             raise SourceDead("no alive honest node can reach the base station")
         return self.rng.choice(pool)
 
     def _ensure_levels(self, source: int) -> None:
-        dead_count = self._dead_count
-        if (self.levels is not None and self._levels_source == source
-                and self._levels_dead_count == dead_count):
+        """Levels from ``source``; they hold until the source moves or a node dies."""
+        if self._levels_source == source:
             return
         self.levels = assign_levels(self.topology, source, self._live)
         self._levels_source = source
-        self._levels_dead_count = dead_count
 
     def _scored_candidates(self, i: int, level_i: int):
         """Valid next hops for node i with (id, tc, d, tau) scoring inputs."""
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
         levels = self.levels.levels
+        evidenced, vouching = self._evidenced, self._vouching
         taus = self.pheromone.row(i) if self.needs_pheromone else None
         out = []
         for j in self.topology.adjacency[i]:
@@ -309,13 +311,13 @@ class Simulation:
                     continue
                 t_ij = self.trust_table[i, j]
                 if self.trust_filter:
-                    if self.node_class.get(j) == MALICIOUS_NODE:
+                    if evidenced[j] and not vouching[j]:   # j's verdict: malicious
                         continue
                     if not t_ij > cfg.trust_threshold:
                         continue
-                # flow rows and verdicts change only at the end of a cycle
-                ci_j = (self.flow.congestion_index(j)
-                        if use_tcm and self.node_class[j] == TRUSTED_NODE else 0.0)
+                # flow rows change only at the end of a cycle; only tc_aco
+                # scores congestion, and its trust filter has passed j
+                ci_j = self.flow.congestion_index(j) if use_tcm else 0.0
             tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = taus[j] if taus is not None else 1.0
@@ -326,7 +328,9 @@ class Simulation:
         """A candidate accepts traffic while its queue has room and it can transmit."""
         if j == self.bs:
             return True
-        return self.energy[j] >= self.cfg.energy_threshold and not self.queues[j].full
+        cfg = self.cfg
+        return (self.energy[j] >= cfg.energy_threshold
+                and len(self.queues[j]) < cfg.queue_capacity)
 
     def _record_delivery_latency(self, p: Packet) -> None:
         latency = float(self.cycle - p.created_cycle)
@@ -341,14 +345,13 @@ class Simulation:
         radio energy is spent on both ends, but the payload never arrived
         anywhere it can progress from.
         """
+        cfg = self.cfg
         d = self.topology.distances[i][j]
-        radio.debit(self.energy, i, radio.tx_cost(self.packet_bits, d, self.radio_params))
-        outflow = self._outflow_now
-        outflow[i] = outflow.get(i, 0) + 1
+        radio.debit(self.energy, i, radio.tx_cost(self.packet_bits, d, cfg))
+        sent = self._sent_now.setdefault(i, {})
+        sent[j] = sent.get(j, 0) + 1
         self._spent.add(i)
         self.stats.record_send(i, j)
-        key = (i, j)
-        self._tx_counts[key] = self._tx_counts.get(key, 0) + 1
 
         if j == self.bs:
             p.record_hop(j)
@@ -360,7 +363,7 @@ class Simulation:
             # the sink acknowledges everything it absorbs
             self.stats.record_ack(i, j)
             if self.ack_bits:
-                radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, self.radio_params))
+                radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, cfg))
             return True
 
         inflow = self._inflow_now
@@ -369,7 +372,7 @@ class Simulation:
         behavior = self.faults.get(j)
         if behavior is not None:
             self._row.forwarded_to_malicious += 1
-        radio.debit(self.energy, j, radio.rx_cost(self.packet_bits, self.radio_params))
+        radio.debit(self.energy, j, radio.rx_cost(self.packet_bits, cfg))
 
         if behavior is not None and behavior.behavior == "drop":
             if self.rng.random() < behavior.p:
@@ -379,32 +382,33 @@ class Simulation:
 
         self.stats.record_ack(i, j)
         if self.ack_bits:
-            radio.debit(self.energy, j, radio.tx_cost(self.ack_bits, d, self.radio_params))
-            radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, self.radio_params))
+            radio.debit(self.energy, j, radio.tx_cost(self.ack_bits, d, cfg))
+            radio.debit(self.energy, i, radio.rx_cost(self.ack_bits, cfg))
 
         p.record_hop(j)
         if behavior is not None and behavior.behavior == "delay":
             p.held_until = self.cycle + behavior.extra
-        if not self.queues[j].entries:
+        queue = self.queues[j]
+        if not queue:
             # j sits one level past i, so its turn in the sweep is still to come
             heappush(self._sweep, (self.levels.levels[j], j))
             self._occupied.add(j)
         # j was admissible, so its queue has room
-        enqueue(self.queues[j], p, self.cycle)
+        enqueue(queue, p, self.cycle, cfg.queue_capacity)
 
         if behavior is not None and behavior.behavior == "duplicate":
             for _ in range(behavior.copies - 1):
-                if self.queues[j].full:
+                if len(queue) >= cfg.queue_capacity:
                     break
                 clone = self._new_packet(p.origin, fake=True)
                 clone.hop_trail = list(p.hop_trail)
-                enqueue(self.queues[j], clone, self.cycle)
+                enqueue(queue, clone, self.cycle, cfg.queue_capacity)
         return True
 
     def _forward_from(self, i: int, level_i: int) -> None:
         cfg = self.cfg
         queue = self.queues[i]
-        if not queue.entries or self.energy[i] < cfg.energy_threshold:
+        if not queue or self.energy[i] < cfg.energy_threshold:
             return
         candidates = self._scored_candidates(i, level_i)
         if not candidates:
@@ -416,7 +420,7 @@ class Simulation:
 
         cycle = self.cycle
         forwarded = 0
-        for p in list(queue.entries):
+        for p in list(queue):
             if limit is not None and forwarded >= limit:
                 break
             if p.held_until > cycle:
@@ -433,12 +437,12 @@ class Simulation:
                     # nothing admissible now; this and later packets keep aging
                     return
                 if self._transmit(i, p, j):
-                    queue.entries.remove(p)
+                    queue.remove(p)
                     forwarded += 1
                     break
                 p.transfer_failures += 1
                 if p.transfer_failures >= max_attempts:
-                    queue.entries.remove(p)
+                    queue.remove(p)
                     self._finish(p, DROPPED_MALICIOUS)
                     break
 
@@ -446,7 +450,7 @@ class Simulation:
         cycle, wc_max = self.cycle, self.cfg.wc_max
         for k in sorted(self._occupied):
             queue = self.queues[k]
-            if not queue.entries:
+            if not queue:
                 continue
             for p in tick_wait_and_drop(queue, cycle, wc_max):
                 self._finish(p, DROPPED_TIMEOUT)
@@ -477,26 +481,26 @@ class Simulation:
                                 cfg.latency_polarity, float(cfg.wc_max))
 
     def _recompute_trust(self) -> None:
-        """Bring ``trust_table`` and the node verdict up to date.
+        """Bring ``trust_table`` and the node verdict's counts up to date.
 
         Link (i, j) reads the energies of i and j, the evidence on i's
         out-links, and how i's neighbours with latency evidence group by
         level. The links whose inputs changed are gathered in one map,
         ``dirty``: row -> the columns to blend, or None for the whole row.
         Every row is dirty on the first refresh; after that, the rows of
-        senders with new evidence and of nodes whose energy changed are
-        dirty in full. A sender's latency scores are derived afresh and
-        cached with their mean latencies; when the levels change, every
-        other cached row with at least two timed neighbours scores its means
-        against the new levels and the columns whose score moved become
-        dirty (a lone timed neighbour is scored against the reference
-        latency, whatever the levels). Each link into a node whose energy
-        changed is dirty too; after the first refresh, energy changes only
-        through the debits of the cycle, so only the nodes it spent on are
-        compared. Each dirty link is then blended once.
-        The verdict is kept by counting, per node, the senders that have
-        sent to it and those whose link to it is trustworthy; only nodes
-        whose counts moved are re-classified.
+        senders with new evidence are dirty in full. A sender's latency
+        scores are derived afresh and cached with their mean latencies; when
+        the levels change, every other cached row with at least two timed
+        neighbours scores its means against the new levels and the columns
+        whose score moved become dirty (a lone timed neighbour is scored
+        against the reference latency, whatever the levels). After the first
+        refresh, energy changes only through the debits of the cycle, so the
+        row of each node it spent on is dirty in full, and so is each link
+        into such a node; a spent node already at zero keeps its energy, and
+        blending its links again gives the values they hold. Each dirty link
+        is then blended once.
+        The verdict is kept as two counts per node: the senders that have
+        sent to it, and those of them whose link to it is trustworthy.
         """
         cfg = self.cfg
         n = cfg.node_count
@@ -509,7 +513,6 @@ class Simulation:
         cache = self._latency
         reference = float(cfg.wc_max)
         levels, energies = self._trust_inputs()
-        changed: set[int] = set()
         # a link's first send makes it count, with its trust so far; the
         # blend below then counts it like any other when it crosses the
         # threshold
@@ -517,11 +520,10 @@ class Simulation:
             self._evidenced[j] += 1
             if table[i, j] > th:
                 vouching[j] += 1
-            changed.add(j)
 
         senders = stats.take_senders()
-        last = self._trust_energies
-        fresh = range(n) if last is None else senders
+        first = self._trust_levels is None
+        fresh = range(n) if first else senders
         for i in fresh:
             scores, means = latency_scores(stats, i, adjacency[i], levels,
                                            cfg.latency_polarity, reference)
@@ -530,7 +532,7 @@ class Simulation:
             else:
                 cache.pop(i, None)
         dirty: dict[int, Optional[set[int]]] = dict.fromkeys(fresh)
-        if last is not None:
+        if not first:
             if self.levels is not self._trust_levels:
                 for i, (scores, means) in cache.items():
                     if i in dirty or len(means) < 2:
@@ -541,13 +543,12 @@ class Simulation:
                         if scores[j] != pl:
                             scores[j] = pl
                             dirty.setdefault(i, set()).add(j)
-            drained = [k for k in self._spent if energies[k] != last[k]]
-            dirty.update(dict.fromkeys(drained))
-            for k in drained:
+            spent = self._spent
+            dirty.update(dict.fromkeys(spent))
+            for k in spent:
                 for j in adjacency[k]:
                     if j != bs and dirty.get(j, ()) is not None:
                         dirty.setdefault(j, set()).add(k)
-        self._trust_energies = energies
         self._trust_levels = self.levels
 
         for i, cols in dirty.items():
@@ -560,38 +561,28 @@ class Simulation:
                 table[i, j] = t_ij
                 if (old > th) != (t_ij > th) and stats.link(i, j).packets_sent:
                     vouching[j] += 1 if t_ij > th else -1
-                    changed.add(j)
-
-        node_class, evidenced = self.node_class, self._evidenced
-        changed.discard(bs)
-        for j in changed:
-            node_class[j] = (MALICIOUS_NODE if evidenced[j] and not vouching[j]
-                             else TRUSTED_NODE)
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
         cfg = self.cfg
         self.cycle += 1
-        # the cycle in progress: its row, its flows and its transfers per link,
-        # and the nodes it debits
+        # the cycle in progress: its row, its packets received per node and
+        # sent per sender and receiver, and the nodes it debits
         row = self._row = CycleStats(self.cycle)
         self._inflow_now: dict[int, int] = {}
-        self._outflow_now: dict[int, int] = {}
-        self._tx_counts: dict[tuple[int, int], int] = {}
+        self._sent_now: dict[int, dict[int, int]] = {}
         spent = self._spent = set()
 
         if self._alive is None:
             self._alive = [e >= cfg.energy_threshold for e in self.energy]
             self._dead_count = len(self._alive) - sum(self._alive)
+            self._live = live_adjacency(self.topology, self._alive)
         alive = self._alive
-        if self._live_dead_count != self._dead_count:
-            self._live = live_adjacency(self.topology, alive)
-            self._live_dead_count = self._dead_count
         source = self._pick_source()
         self._ensure_levels(source)
 
         # 1. traffic generation; the application buffer is not capacity-bound
-        queue = self.queues[source].entries
+        queue = self.queues[source]
         for _ in range(cfg.packets_per_round):
             queue.append(self._new_packet(source))
         occupied = self._occupied
@@ -612,13 +603,12 @@ class Simulation:
                 fake = self._new_packet(f_id, fake=True)
                 fake.record_hop(k)
                 d = self.topology.distances[f_id][k]
-                radio.debit(self.energy, f_id,
-                            radio.tx_cost(self.packet_bits, d, self.radio_params))
-                radio.debit(self.energy, k, radio.rx_cost(self.packet_bits, self.radio_params))
+                radio.debit(self.energy, f_id, radio.tx_cost(self.packet_bits, d, cfg))
+                radio.debit(self.energy, k, radio.rx_cost(self.packet_bits, cfg))
                 spent.add(f_id)
                 spent.add(k)
                 self._inflow_now[k] = self._inflow_now.get(k, 0) + 1
-                if enqueue(self.queues[k], fake, self.cycle):
+                if enqueue(self.queues[k], fake, self.cycle, cfg.queue_capacity):
                     occupied.add(k)
                 else:
                     self._finish(fake, DROPPED_OVERFLOW)
@@ -638,27 +628,35 @@ class Simulation:
         self._age_queues()
 
         # 6. close this cycle's flow-history row; a queue outside the
-        # occupied set was empty at the end of the last cycle and still is
-        queues = self.queues
-        self.flow.record_cycle(self._inflow_now, self._outflow_now,
-                               {k: queues[k].free_space() for k in occupied})
-        self._occupied = {k for k in occupied if queues[k].entries}
+        # occupied set was empty at the end of the last cycle and still is.
+        # The source's queue can hold more than the capacity: no free space
+        queues, cap = self.queues, cfg.queue_capacity
+        self.flow.record_cycle(self._inflow_now,
+                               {i: sum(out.values()) for i, out in self._sent_now.items()},
+                               {k: max(0, cap - len(queues[k])) for k in occupied})
+        self._occupied = {k for k in occupied if queues[k]}
 
         # 7. pheromone evaporation and deposits
         if self.needs_pheromone:
-            self.pheromone.update_cycle(self._tx_counts, self.topology.distance,
+            self.pheromone.update_cycle(self._sent_now, self.topology.distance,
                                         cfg.pheromone_deposit_scale)
 
-        # 8. refresh trust and classification for the next cycle
+        # 8. refresh trust and the verdict counts for the next cycle
         if self.needs_trust:
             self._recompute_trust()
 
-        # 9. metrics
+        # 9. deaths and metrics; a death cuts links, so the live adjacency is
+        # rebuilt and the source pool and the levels are derived afresh
+        dead = self._dead_count
         for k in spent:
             if alive[k] and self.energy[k] < cfg.energy_threshold:
                 alive[k] = False
-                self._dead_count += 1
-        row.dead_nodes = self._dead_count
+                dead += 1
+        if dead != self._dead_count:
+            self._dead_count = dead
+            self._live = live_adjacency(self.topology, alive)
+            self._source_pool = self._levels_source = None
+        row.dead_nodes = dead
         row.total_energy_j = sum(self.energy)
         row.in_flight = self._in_flight
         self.metric_rows.append(row)

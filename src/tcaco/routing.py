@@ -218,18 +218,16 @@ class PheromoneTable:
     def get(self, i: int, j: int) -> float:
         return self.row(i)[j]
 
-    def update_cycle(self, counts: dict[tuple[int, int], int],
+    def update_cycle(self, sent: dict[int, dict[int, int]],
                      distance: Callable[[int, int], float],
                      deposit_scale: float = 1.0) -> None:
         """Close one cycle: evaporate, and deposit in proportion to traffic
-        per meter where ``counts`` saw transfers.
+        per meter where ``sent`` (sender -> receiver -> transfers) saw
+        transfers.
 
         Only the rows of nodes that sent are written; every other row
         evaporates when it is next read.
         """
-        sent: dict[int, dict[int, int]] = {}
-        for (i, j), n in counts.items():
-            sent.setdefault(i, {})[j] = n
         decay, floor = self.decay, self.tau_floor
         for i, out in sent.items():
             row = self.row(i)

@@ -24,8 +24,6 @@ def euclidean_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 @dataclass(frozen=True)
 class Topology:
     positions: tuple[tuple[float, float], ...]  # sensor nodes only
-    bs_position: tuple[float, float]
-    radio_range: float
     distances: tuple[dict[int, float], ...]     # per endpoint, {neighbor id: distance}, bs last
     adjacency: tuple[tuple[int, ...], ...]      # per endpoint, sorted neighbor ids
 
@@ -45,9 +43,10 @@ def build_topology(positions, bs_position, radio_range) -> Topology:
     """Neighbor distances and symmetric adjacency for nodes plus sink.
 
     Each unordered pair is measured once; only pairs within radio range
-    are stored. Raises DisconnectedNetwork when no node is within radio
-    range of the base station; source-to-sink connectivity is checked at
-    level assignment, where the source is known.
+    are stored. Raises ValueError when two endpoints share a point, since
+    a link must have a positive length, and DisconnectedNetwork when no
+    node is within radio range of the base station; source-to-sink
+    connectivity is checked at level assignment, where the source is known.
     """
     pts = [tuple(p) for p in positions] + [tuple(bs_position)]
     n_all = len(pts)
@@ -58,14 +57,15 @@ def build_topology(positions, bs_position, radio_range) -> Topology:
         for j in range(i + 1, n_all):
             d = euclidean_distance(pts[i], pts[j])
             if d <= radio_range:
+                if not d:
+                    other = "the base station" if j == n_all - 1 else f"node {j}"
+                    raise ValueError(f"node {i} and {other} are at the same point")
                 distances[i][j] = d
                 distances[j][i] = d
     if not distances[n_all - 1]:
         raise DisconnectedNetwork("no node within radio range of the base station")
     return Topology(
         positions=tuple(pts[:-1]),
-        bs_position=pts[-1],
-        radio_range=radio_range,
         distances=tuple(distances),
         adjacency=tuple(tuple(row) for row in distances),
     )

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaco.congestion import FlowHistory, NodeQueue, enqueue, tick_wait_and_drop
+from tcaco.congestion import FlowHistory, enqueue, tick_wait_and_drop
 from tcaco.model import IN_FLIGHT, Packet
 
 
@@ -15,69 +15,69 @@ def pkt(pid=0):
 
 class TestQueue:
     def test_enqueue_into_empty(self):
-        q = NodeQueue(10)
-        assert enqueue(q, pkt(), 1)
+        q = []
+        assert enqueue(q, pkt(), 1, 10)
         assert len(q) == 1
 
     def test_overflow_rejected_without_fate(self):
-        q = NodeQueue(1)
-        assert enqueue(q, pkt(0), 1)
+        q = []
+        assert enqueue(q, pkt(0), 1, 1)
         p2 = pkt(1)
-        assert not enqueue(q, p2, 1)
+        assert not enqueue(q, p2, 1, 1)
         assert p2.fate == IN_FLIGHT   # the caller decides the packet's end
         assert len(q) == 1
 
     def test_reset_wait_on_enqueue(self):
         # the wait restarts at the cycle the packet is queued
-        q = NodeQueue(4)
+        q = []
         p = pkt()
-        enqueue(q, p, 5)
+        enqueue(q, p, 5, 4)
         assert p.queued_at == 5
 
     def test_fifo_order_preserved(self):
-        q = NodeQueue(5)
+        q = []
         packets = [pkt(k) for k in range(4)]
         for p in packets:
-            enqueue(q, p, 1)
+            enqueue(q, p, 1, 5)
         tick_wait_and_drop(q, 1, wc_max=3)
-        assert [p.id for p in q.entries] == [0, 1, 2, 3]
+        assert [p.id for p in q] == [0, 1, 2, 3]
 
 
 class TestTick:
     def test_below_horizon_retained(self):
-        q = NodeQueue(5)
+        q = []
         p = pkt()
-        enqueue(q, p, 1)
+        enqueue(q, p, 1, 5)
         dropped = tick_wait_and_drop(q, 3, wc_max=3)   # waited 2 cycles
         assert dropped == []
-        assert list(q.entries) == [p]
+        assert q == [p]
         assert p.queued_at == 1   # ageing leaves survivors untouched
 
     def test_at_horizon_dropped(self):
-        q = NodeQueue(5)
+        q = []
         p = pkt()
-        enqueue(q, p, 1)
+        enqueue(q, p, 1, 5)
         dropped = tick_wait_and_drop(q, 4, wc_max=3)   # waited 3 cycles
         assert dropped == [p]
         assert p.fate == IN_FLIGHT   # the caller decides the packet's end
         assert len(q) == 0
 
     def test_empty_queue_returns_nothing(self):
-        assert tick_wait_and_drop(NodeQueue(3), 1, wc_max=3) == []
+        assert tick_wait_and_drop([], 1, wc_max=3) == []
 
     def test_wait_never_exceeds_horizon(self):
-        q = NodeQueue(8)
+        q = []
         for cycle in range(1, 11):
-            enqueue(q, pkt(cycle), cycle)
+            enqueue(q, pkt(cycle), cycle, 8)
             expired = tick_wait_and_drop(q, cycle, wc_max=3)
             assert all(cycle - p.queued_at == 3 for p in expired)
-            assert all(cycle - p.queued_at < 3 for p in q.entries)
+            assert all(cycle - p.queued_at < 3 for p in q)
 
     def test_hold_stamp_untouched(self):
-        q = NodeQueue(5)
+        q = []
         p = pkt()
         p.held_until = 3
-        enqueue(q, p, 1)
+        enqueue(q, p, 1, 5)
         tick_wait_and_drop(q, 2, wc_max=5)
         assert p.held_until == 3
 

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tcaco.config import RadioParams, SimConfig
+from tcaco.config import SimConfig
 from tcaco.energy import debit, rx_cost, tx_cost
 from tcaco.engine import Simulation
 
-PARAMS = RadioParams()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
+PARAMS = SimConfig()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
 
 
 def test_tx_zero_bits_costs_nothing():

@@ -56,7 +56,7 @@ def seen_packets(sim):
     """(id, fate, hop trail) of every packet that reached a terminal fate,
     from the route dump, or is still queued; needs ``log_routes=True``."""
     return route_lines(sim) + [(p.id, p.fate, p.hop_trail)
-                               for q in sim.queues for p in q.entries]
+                               for q in sim.queues for p in q]
 
 
 class TestDeployment:
@@ -111,8 +111,7 @@ class TestTwoNodeDelivery:
         row = sim.run_cycle()
         assert row.delivered == cfg.packets_per_round
         assert row.in_flight == 0
-        expected = 1.0 - cfg.packets_per_round * tx_cost(
-            cfg.packet_size_bits, 10.0, cfg.radio_params())
+        expected = 1.0 - cfg.packets_per_round * tx_cost(cfg.packet_size_bits, 10.0, cfg)
         assert sim.energy[0] == pytest.approx(expected, abs=1e-12)
 
     def test_generation_not_bound_by_buffer_capacity(self):
@@ -374,6 +373,18 @@ class TestForwardLimit:
         assert row.delivered == 2
         assert row.in_flight == 4
 
+    def test_over_capacity_source_buffer_has_no_free_space(self):
+        """Generation can fill the source's buffer past the capacity; its
+        recorded free space is then 0, never negative."""
+        cfg = SimConfig(node_count=2, radio_range=60.0, bs_position=(10.0, 0.0),
+                        source_node=0, queue_capacity=5, packets_per_round=20,
+                        max_cycles=1, per_cycle_forward_limit=2)
+        sim = Simulation(cfg, positions=[(0.0, 0.0), (50.0, 50.0)])
+        sim.run_cycle()
+        assert len(sim.queues[0]) == 18 > cfg.queue_capacity
+        assert sim.flow._free[0] == 0
+        assert 0.0 <= sim.flow.congestion_index(0) <= 1.0
+
 
 class TestSweep:
     """The forwarding sweep visits each levelled node that holds a packet at
@@ -400,7 +411,7 @@ class TestSweep:
             # that is not empty now was not empty at its turn either
             levelled = {i for i, lvl in enumerate(sim.levels.levels) if lvl is not None}
             skipped = levelled - {i for _, i, _ in visits}
-            assert not any(sim.queues[i].entries for i in skipped), sim.cycle
+            assert not any(sim.queues[i] for i in skipped), sim.cycle
             totals["visits"] += len(visits)
             totals["skipped"] += len(skipped)
             visits.clear()
@@ -426,8 +437,7 @@ class TestAckEnergy:
         # relay pays the ack transmission plus the sink-ack reception,
         # source pays the ack reception
         assert paying.energy[1] < quiet.energy[1]
-        params = paying.radio_params
-        expected_source_delta = rx_cost(paying.ack_bits, params)
+        expected_source_delta = rx_cost(paying.ack_bits, paying.cfg)
         got_delta = quiet.energy[0] - paying.energy[0]
         assert got_delta == pytest.approx(expected_source_delta, abs=1e-12)
 
@@ -585,9 +595,10 @@ class TestRouteLog:
 
 
 class TestKeptCounters:
-    """The alive flags, dead count, in-flight count, occupied set and flow
-    history that the engine keeps from the nodes each cycle touches equal a
-    full recomputation over every node after every cycle."""
+    """The alive flags, dead count, live adjacency, in-flight count, occupied
+    set and flow history that the engine keeps from the nodes each cycle
+    touches equal a full recomputation over every node after every cycle,
+    and a death clears the source pool and the levels' source."""
 
     CASES = {
         "dying": ("tc_aco", DYING),
@@ -616,21 +627,20 @@ class TestKeptCounters:
             deaths += alive != alive_before
             assert sim._alive == alive, sim.cycle
             assert sim._dead_count == row.dead_nodes == n - sum(alive), sim.cycle
-            assert sim._live == live_adjacency(sim.topology, alive_before), sim.cycle
+            assert sim._live == live_adjacency(sim.topology, alive), sim.cycle
+            if alive != alive_before:
+                assert sim._source_pool is None and sim._levels_source is None, sim.cycle
             assert sim._in_flight == row.in_flight == sum(map(len, sim.queues)), sim.cycle
-            assert sim._occupied == {k for k, q in enumerate(sim.queues) if q.entries}, sim.cycle
+            assert sim._occupied == {k for k, q in enumerate(sim.queues) if q}, sim.cycle
 
             # dense replay of the flow history from this cycle's maps
-            sent = Counter()
-            for (i, _), count in sim._tx_counts.items():
-                sent[i] += count
-            assert sim._outflow_now == dict(sent), sim.cycle
             in_rows.append([sim._inflow_now.get(k, 0) for k in range(n)])
-            out_rows.append([sim._outflow_now.get(k, 0) for k in range(n)])
+            out_rows.append([sum(sim._sent_now.get(k, {}).values()) for k in range(n)])
             span = slice(None) if window is None else slice(-window, None)
             assert sim.flow._in_sum == [sum(c) for c in zip(*in_rows[span])], sim.cycle
             assert sim.flow._out_sum == [sum(c) for c in zip(*out_rows[span])], sim.cycle
-            assert sim.flow._free == [q.free_space() for q in sim.queues], sim.cycle
+            assert sim.flow._free == [max(0, cfg.queue_capacity - len(q))
+                                      for q in sim.queues], sim.cycle
         assert sim.cycle > 40 and deaths > 0
         assert any(row.in_flight for row in sim.metric_rows)
 

@@ -174,7 +174,7 @@ class TestSelection:
 def one_link_step(tau, rho, n_ij, d_ij, deposit_scale=1.0, tau_floor=1e-6):
     """Pheromone on the one link 0->1 after one cycle with ``n_ij`` transfers."""
     table = PheromoneTable([(1,), ()], tau, tau_floor, rho)
-    table.update_cycle({(0, 1): n_ij}, lambda i, j: d_ij, deposit_scale)
+    table.update_cycle({0: {1: n_ij}}, lambda i, j: d_ij, deposit_scale)
     return table.get(0, 1)
 
 
@@ -201,12 +201,12 @@ class TestPheromone:
 
     def test_busier_link_ends_higher(self):
         table = PheromoneTable([(1, 2), (), ()], 1.0, 1e-6, 0.1)
-        table.update_cycle({(0, 1): 9, (0, 2): 2}, lambda i, j: 10.0)
+        table.update_cycle({0: {1: 9, 2: 2}}, lambda i, j: 10.0)
         assert table.get(0, 1) > table.get(0, 2)
 
     def test_table_update_evaporates_unused(self):
         table = PheromoneTable([(1,), (0,)], tau_init=1.0, tau_floor=1e-6, rho=0.1)
-        table.update_cycle({(0, 1): 5}, lambda i, j: 10.0)
+        table.update_cycle({0: {1: 5}}, lambda i, j: 10.0)
         assert table.get(0, 1) == pytest.approx(1.4, abs=1e-12)
         assert table.get(1, 0) == pytest.approx(0.9, abs=1e-12)
 
@@ -226,12 +226,12 @@ class EagerPheromone:
     def get(self, i, j):
         return self.values[(i, j)]
 
-    def update_cycle(self, counts, distance, deposit_scale=1.0):
+    def update_cycle(self, sent, distance, deposit_scale=1.0):
         decay = 1.0 - self.rho
         floor = self.tau_floor
         values = self.values
         for link, tau in values.items():
-            n = counts.get(link, 0)
+            n = sent.get(link[0], {}).get(link[1], 0)
             if n:
                 tau = decay * tau + deposit_scale * (n / distance(link[0], link[1]))
             else:
@@ -239,12 +239,21 @@ class EagerPheromone:
             values[link] = tau if tau > floor else floor
 
 
+def by_sender(counts):
+    """Transfers per link grouped as sender -> receiver -> transfers."""
+    sent = {}
+    for (i, j), n in counts.items():
+        sent.setdefault(i, {})[j] = n
+    return sent
+
+
 # three nodes, all linked: each row is read, deposited on or left idle
 LINKS = [(i, j) for i in range(3) for j in range(3) if i != j]
 pheromone_steps = st.lists(st.one_of(
     st.tuples(st.just("read"), st.sampled_from(LINKS)),
     st.tuples(st.just("update"),
-              st.dictionaries(st.sampled_from(LINKS), st.integers(0, 30), max_size=4)),
+              st.dictionaries(st.sampled_from(LINKS), st.integers(0, 30), max_size=4)
+              .map(by_sender)),
     # long idle gaps evaporate any deposit down to the floor
     st.tuples(st.just("idle"), st.integers(1, 400)),
 ), max_size=25)

@@ -61,6 +61,17 @@ def test_unreachable_sink_raises():
         build_topology([(0, 0), (5, 0)], (500, 500), 10.0)
 
 
+def test_coincident_endpoints_rejected_at_construction():
+    """Two nodes at one point, or a node on the sink, would make a link of
+    length zero; the simulation refuses the layout before its first cycle."""
+    cfg = SimConfig(node_count=3, radio_range=35.0, bs_position=(60.0, 0.0),
+                    source_node=0, max_cycles=5)
+    with pytest.raises(ValueError, match="node 0 and node 1 are at the same point"):
+        Simulation(cfg, positions=[(0.0, 0.0), (0.0, 0.0), (30.0, 0.0)])
+    with pytest.raises(ValueError, match="node 2 and the base station are at the same point"):
+        Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)])
+
+
 def test_neighbor_distances_symmetric():
     topo = build_topology([(0, 0), (30, 40), (10, 10)], (5, 5), 60.0)
     for i in range(topo.node_count + 1):
@@ -78,7 +89,7 @@ def test_adjacency_matches_range_rule():
             if i == j:
                 continue
             d = euclidean_distance(pts[i], pts[j])
-            assert (j in topo.adjacency[i]) == (d <= topo.radio_range)
+            assert (j in topo.adjacency[i]) == (d <= 60.0)
             if j in topo.adjacency[i]:
                 assert topo.distances[i][j] == d
             else:
