@@ -3,9 +3,16 @@
 Each criterion runs at its stated tolerance and prints one pass/fail line
 (visible under ``pytest -s`` or on failure). The lifetime-ordering
 experiment is shared between criteria through a session fixture and uses
-the shipped configs/lifetime_experiment.json scenario.
+the shipped configs/lifetime_experiment.json scenario; the same runs are
+checked against two committed goldens, the summary JSON and the sha256 of
+every replicate's per-cycle CSV.
+
+Run this module as a script to record lifetime goldens that do not exist
+yet; existing files are never overwritten.
 """
 
+import hashlib
+import json
 import math
 import os
 import random
@@ -17,7 +24,7 @@ from tcaco.cli import build_parser, load_experiment
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.congestion import FlowHistory
 from tcaco.engine import MILESTONE_PERCENTAGES, run_simulation
-from tcaco.output import lower_median, per_cycle_csv_text
+from tcaco.output import lower_median, per_cycle_csv_text, summary_json_text
 from tcaco.routing import PheromoneTable, transition_probabilities, trust_congestion_metric
 from tcaco.trust import compute_trust
 
@@ -26,6 +33,8 @@ from test_routing import one_link_step
 HERE = os.path.dirname(__file__)
 LIFETIME_CONFIG = os.path.join(HERE, os.pardir, "configs", "lifetime_experiment.json")
 GOLDEN_CSV = os.path.join(HERE, "golden", "per_cycle_reference.csv")
+LIFETIME_SUMMARY = os.path.join(HERE, "golden", "lifetime_summary.json")
+LIFETIME_CSV_SHA256 = os.path.join(HERE, "golden", "lifetime_csv_sha256.json")
 
 TOL = 1e-9
 
@@ -220,8 +229,8 @@ def test_criterion_5_malicious_isolation():
            f"runtimes {tc_time:.1f}s/{da_time:.1f}s")
 
 
-@pytest.fixture(scope="session")
-def lifetime_results():
+def run_lifetime():
+    """Every protocol's replicates of the shipped experiment, run serially."""
     spec = lifetime_spec()
     start = time.perf_counter()
     results = {}
@@ -232,6 +241,39 @@ def lifetime_results():
         ]
     elapsed = time.perf_counter() - start
     return results, elapsed
+
+
+@pytest.fixture(scope="session")
+def lifetime_results():
+    return run_lifetime()
+
+
+def csv_digests(results):
+    """``[{protocol, seed, sha256}]`` of each replicate's per-cycle CSV, in run order."""
+    return [{"protocol": protocol, "seed": m.seed,
+             "sha256": hashlib.sha256(per_cycle_csv_text(m).encode("utf-8")).hexdigest()}
+            for protocol, runs in results.items() for m in runs]
+
+
+def lifetime_golden_texts(results):
+    """Golden path -> its text for the lifetime runs ``results``."""
+    return {LIFETIME_SUMMARY: summary_json_text(results),
+            LIFETIME_CSV_SHA256: json.dumps(csv_digests(results), indent=1) + "\n"}
+
+
+def read_text(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def test_lifetime_summary_matches_golden(lifetime_results):
+    results, _ = lifetime_results
+    assert summary_json_text(results) == read_text(LIFETIME_SUMMARY)
+
+
+def test_lifetime_csv_digests_match_golden(lifetime_results):
+    results, _ = lifetime_results
+    assert csv_digests(results) == json.loads(read_text(LIFETIME_CSV_SHA256))
 
 
 def milestone_grid(results):
@@ -309,8 +351,7 @@ def golden_csv_text():
 def test_criterion_8_determinism_golden():
     first = golden_csv_text()
     second = golden_csv_text()
-    with open(GOLDEN_CSV, "r", encoding="utf-8", newline="") as fh:
-        committed = fh.read()
+    committed = read_text(GOLDEN_CSV)
     ok = first == second and first == committed
     report(8, "determinism golden", ok,
            f"{len(first.splitlines()) - 1} cycles, re-run identical: "
@@ -328,6 +369,23 @@ def test_criterion_9_degenerate_inputs():
     table = PheromoneTable([(1,), ()], 1.0, 1e-6, 0.1)
     for _ in range(10_000):
         table.update_cycle({}, lambda i, j: 10.0)
-    checks.append(table.get(0, 1) >= 1e-6)
+    checks.append(table.row(0)[1] >= 1e-6)
     report(9, "degenerate-input suite", all(checks),
            "single candidate, uniform fallback, cycle-1 bootstrap, pheromone floor")
+
+
+def record_missing() -> None:
+    missing = [path for path in (LIFETIME_SUMMARY, LIFETIME_CSV_SHA256)
+               if not os.path.exists(path)]
+    if not missing:
+        return
+    results, _ = run_lifetime()
+    texts = lifetime_golden_texts(results)
+    for path in missing:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(texts[path])
+        print(f"recorded {path}")
+
+
+if __name__ == "__main__":
+    record_missing()
