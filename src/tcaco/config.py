@@ -8,6 +8,7 @@ violated constraint at once rather than stopping at the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -217,8 +218,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 def check_json_type(key: str, value, hint) -> None:
     """Raise ParseError naming ``key`` unless the JSON ``value`` fits the
-    type ``hint``: int, float (an int fits too), str, a list or tuple of
-    one of them (a JSON list either way), or Optional of any of these."""
+    type ``hint``: int, float (an int fits too, NaN and the infinities do
+    not), str, a list or tuple of one of them (a JSON list either way), or
+    Optional of any of these."""
     if get_origin(hint) is Union:
         if value is None:
             return
@@ -235,6 +237,8 @@ def check_json_type(key: str, value, hint) -> None:
     fits = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, fits):
         raise ParseError(f"{key} must be {_TYPE_NAMES[hint]}, not {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{key} must be a finite number, not {json.dumps(value)}")
 
 
 def _parse_fault_entry(raw: dict, idx: int) -> FaultSpec:

@@ -26,7 +26,7 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
-                    latency_scores, level_latency_scores, node_trust)
+                    latency_scores, node_trust)
 
 
 class SourceDead(RuntimeError):
@@ -162,19 +162,12 @@ class Simulation:
         self.latency_penalty = cfg.effective_latency_penalty()
 
         self.stats = TrustStats()
-        self.trust_table: dict[tuple[int, int], float] = {
-            (i, j): 1.0 for i in range(n) for j in self.topology.adjacency[i]
-        }
-        # per endpoint: senders that have sent to it, and those of them whose
-        # link to it is trustworthy; the verdict (node_class) follows from them
-        self._evidenced = [0] * (n + 1)
-        self._vouching = [0] * (n + 1)
-        # the levels the trust table was last brought up to date with (None
-        # before its first refresh), and per row with latency evidence,
-        # {j: pl} over those neighbours in adjacency order plus their mean
-        # latencies (see _recompute_trust)
-        self._trust_levels: Optional[LevelAssignment] = None
-        self._latency: dict[int, tuple[dict[int, float], list[float]]] = {}
+        # the levels and energies trust is read from, as of step 8 of the last
+        # cycle (None before the first), and until the next step 8 the trust
+        # values and row latency scores read from them so far
+        self._snapshot: Optional[tuple[list, list[float]]] = None
+        self._trust_read: dict[tuple[int, int], float] = {}
+        self._row_scores: dict[int, dict[int, float]] = {}
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
                                         cfg.tau_floor, cfg.rho)
         self.flow = FlowHistory(n, cfg.queue_capacity, window=cfg.congestion_window)
@@ -205,10 +198,8 @@ class Simulation:
 
     @property
     def node_class(self) -> dict[int, str]:
-        """Verdict per node: malicious when some sender has sent to it and
-        none of those senders' links to it is trustworthy, else trusted."""
-        evidenced, vouching = self._evidenced, self._vouching
-        return {j: MALICIOUS_NODE if evidenced[j] and not vouching[j] else TRUSTED_NODE
+        """Verdict per node, as ``malicious`` reads it."""
+        return {j: MALICIOUS_NODE if self.malicious(j) else TRUSTED_NODE
                 for j in range(self.cfg.node_count)}
 
     # ------------------------------------------------------------------ setup
@@ -299,26 +290,21 @@ class Simulation:
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
         levels = self.levels.levels
-        evidenced, vouching = self._evidenced, self._vouching
+        th = cfg.trust_threshold
         taus = self.pheromone.row(i) if self.needs_pheromone else None
         out = []
         for j in self.topology.adjacency[i]:
             if j == self.bs:
-                t_ij = self.trust_table[i, j]
                 ci_j = 0.0
             else:
                 if levels[j] != level_i + 1:
                     continue
-                t_ij = self.trust_table[i, j]
-                if self.trust_filter:
-                    if evidenced[j] and not vouching[j]:   # j's verdict: malicious
-                        continue
-                    if not t_ij > cfg.trust_threshold:
-                        continue
+                if self.trust_filter and (not self.trust(i, j) > th or self.malicious(j)):
+                    continue
                 # flow rows change only at the end of a cycle; only tc_aco
                 # scores congestion, and its trust filter has passed j
                 ci_j = self.flow.congestion_index(j) if use_tcm else 0.0
-            tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
+            tc = trust_congestion_metric(self.trust(i, j), ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = taus[j] if taus is not None else 1.0
             out.append((j, tc, self.topology.distances[i][j], tau))
@@ -471,8 +457,9 @@ class Simulation:
 
     def trust_rows(self):
         """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
-        from the current evidence, energies and levels: the full computation
-        that ``_recompute_trust`` keeps ``trust_table`` equal to."""
+        from the committed evidence and the current energies and levels: the
+        full computation. After a cycle of a protocol that reads trust it
+        holds the values ``trust`` reads until the next step 8."""
         cfg = self.cfg
         levels, energies = self._trust_inputs()
         for i in range(cfg.node_count):
@@ -480,87 +467,51 @@ class Simulation:
                                 energies, cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
                                 cfg.latency_polarity, float(cfg.wc_max))
 
-    def _recompute_trust(self) -> None:
-        """Bring ``trust_table`` and the node verdict's counts up to date.
+    def trust(self, i: int, j: int) -> float:
+        """Trust of i upon j from the committed evidence and the levels and
+        energies of step 8 of the last cycle; 1.0 before the first snapshot,
+        and always for the protocols that read no trust. Each link is
+        blended at most once per cycle, each row's latency scores derived at
+        most once."""
+        t_ij = self._trust_read.get((i, j))
+        if t_ij is None:
+            if self._snapshot is None:
+                return 1.0
+            cfg = self.cfg
+            levels, energies = self._snapshot
+            scores = self._row_scores.get(i)
+            if scores is None:
+                scores = self._row_scores[i] = latency_scores(
+                    self.stats, i, self.topology.adjacency[i], levels,
+                    cfg.latency_polarity, float(cfg.wc_max))
+            ((_, _, _, _, t_ij),) = blend_links(self.stats, i, (j,), energies,
+                                                cfg.initial_energy, scores,
+                                                cfg.a1, cfg.a2, cfg.a3)
+            self._trust_read[i, j] = t_ij
+        return t_ij
 
-        Link (i, j) reads the energies of i and j, the evidence on i's
-        out-links, and how i's neighbours with latency evidence group by
-        level. The links whose inputs changed are gathered in one map,
-        ``dirty``: row -> the columns to blend, or None for the whole row.
-        Every row is dirty on the first refresh; after that, the rows of
-        senders with new evidence are dirty in full. A sender's latency
-        scores are derived afresh and cached with their mean latencies; when
-        the levels change, every other cached row with at least two timed
-        neighbours scores its means against the new levels and the columns
-        whose score moved become dirty (a lone timed neighbour is scored
-        against the reference latency, whatever the levels). After the first
-        refresh, energy changes only through the debits of the cycle, so the
-        row of each node it spent on is dirty in full, and so is each link
-        into such a node; a spent node already at zero keeps its energy, and
-        blending its links again gives the values they hold. Each dirty link
-        is then blended once.
-        The verdict is kept as two counts per node: the senders that have
-        sent to it, and those of them whose link to it is trustworthy.
-        """
-        cfg = self.cfg
-        n = cfg.node_count
-        bs = self.bs
-        adjacency = self.topology.adjacency
+    def malicious(self, j: int) -> bool:
+        """Verdict on node j: some node has sent to it, and none of those
+        senders' links to it is trustworthy. The walk over its senders stops
+        at the first trustworthy link."""
+        th = self.cfg.trust_threshold
         stats = self.stats
-        table = self.trust_table
-        th = cfg.trust_threshold
-        vouching = self._vouching
-        cache = self._latency
-        reference = float(cfg.wc_max)
-        levels, energies = self._trust_inputs()
-        # a link's first send makes it count, with its trust so far; the
-        # blend below then counts it like any other when it crosses the
-        # threshold
-        for i, j in stats.take_first_sends():
-            self._evidenced[j] += 1
-            if table[i, j] > th:
-                vouching[j] += 1
+        sent_to = False
+        # links are symmetric, so j's senders are among its neighbours
+        for k in self.topology.adjacency[j]:
+            if stats.link(k, j).packets_sent:
+                if self.trust(k, j) > th:
+                    return False
+                sent_to = True
+        return sent_to
 
-        senders = stats.take_senders()
-        first = self._trust_levels is None
-        fresh = range(n) if first else senders
-        for i in fresh:
-            scores, means = latency_scores(stats, i, adjacency[i], levels,
-                                           cfg.latency_polarity, reference)
-            if scores:
-                cache[i] = (scores, means)
-            else:
-                cache.pop(i, None)
-        dirty: dict[int, Optional[set[int]]] = dict.fromkeys(fresh)
-        if not first:
-            if self.levels is not self._trust_levels:
-                for i, (scores, means) in cache.items():
-                    if i in dirty or len(means) < 2:
-                        continue
-                    now = level_latency_scores(means, [levels[j] for j in scores],
-                                               cfg.latency_polarity, reference)
-                    for j, pl in zip(tuple(scores), now):
-                        if scores[j] != pl:
-                            scores[j] = pl
-                            dirty.setdefault(i, set()).add(j)
-            spent = self._spent
-            dirty.update(dict.fromkeys(spent))
-            for k in spent:
-                for j in adjacency[k]:
-                    if j != bs and dirty.get(j, ()) is not None:
-                        dirty.setdefault(j, set()).add(k)
-        self._trust_levels = self.levels
-
-        for i, cols in dirty.items():
-            cached = cache.get(i)
-            for j, _, _, _, t_ij in blend_links(
-                    stats, i, adjacency[i] if cols is None else cols, energies,
-                    cfg.initial_energy, cached[0] if cached else {},
-                    cfg.a1, cfg.a2, cfg.a3):
-                old = table[i, j]
-                table[i, j] = t_ij
-                if (old > th) != (t_ij > th) and stats.link(i, j).packets_sent:
-                    vouching[j] += 1 if t_ij > th else -1
+    def _recompute_trust(self) -> None:
+        """Take the snapshot ``trust`` reads until the next step 8: the
+        levels and the energies as they stand, and drop the last cycle's
+        reads. Nothing is blended here."""
+        self._snapshot = self._trust_inputs()
+        self._trust_read.clear()
+        self._row_scores.clear()
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
@@ -641,7 +592,9 @@ class Simulation:
             self.pheromone.update_cycle(self._sent_now, self.topology.distance,
                                         cfg.pheromone_deposit_scale)
 
-        # 8. refresh trust and the verdict counts for the next cycle
+        # 8. commit the cycle's evidence; the next cycle routes on the trust
+        # of this moment
+        self.stats.commit()
         if self.needs_trust:
             self._recompute_trust()
 

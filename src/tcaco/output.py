@@ -89,9 +89,10 @@ def summary_json_text(results: dict[str, list[SimMetrics]]) -> str:
 def trust_dump_text(sim: Simulation) -> str:
     """Per-link trust components CSV: i,j,ne,ptr,pl,t_ij,classification.
 
-    The rows are the ones the engine computes from the current evidence,
-    so for a run that recomputes trust every cycle they equal the values
-    it routed on next.
+    The rows are ``Simulation.trust_rows()``: the full computation from
+    the committed evidence and the current energies and levels. For a
+    protocol that reads trust, each ``t_ij`` is the value
+    ``Simulation.trust`` reads until the next cycle's step 8.
     """
     threshold = sim.cfg.trust_threshold
     lines = ["i,j,ne,ptr,pl,t_ij,classification"]

@@ -18,10 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .topology import DisconnectedNetwork, Topology
 
 
-class NoValidCandidates(RuntimeError):
-    """A forwarding decision was requested with an empty candidate set."""
-
-
 @dataclass(frozen=True)
 class LevelAssignment:
     """Hop distance of every node from the source; None marks unreachable."""
@@ -110,12 +106,10 @@ def transition_probabilities(candidates: Sequence[tuple[int, float, float, float
                              ) -> dict[int, float]:
     """Normalized selection probability per candidate.
 
-    ``candidates`` holds (node_id, tc, distance, pheromone) tuples. When
-    every raw weight degenerates to zero the distribution falls back to
-    uniform so a decision can still be made.
+    ``candidates`` holds (node_id, tc, distance, pheromone) tuples, at
+    least one. When every raw weight degenerates to zero the distribution
+    falls back to uniform so a decision can still be made.
     """
-    if not candidates:
-        raise NoValidCandidates("empty candidate set")
     weights = []
     for _, tc, d, tau in candidates:
         if d <= 0:
@@ -214,9 +208,6 @@ class PheromoneTable:
                 row[j] = tau
             self.stamp[i] = self.cycles
         return row
-
-    def get(self, i: int, j: int) -> float:
-        return self.row(i)[j]
 
     def update_cycle(self, sent: dict[int, dict[int, int]],
                      distance: Callable[[int, int], float],

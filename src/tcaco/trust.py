@@ -6,12 +6,13 @@ of the link, and a latency score comparing j against i's other candidates.
 The blend is a weighted mean, so scaling all weights together changes
 nothing.
 
-``latency_scores`` (through ``level_latency_scores``) is the one
-computation of a row's latency scores and ``blend_links`` the one
-computation of the other components and the blend. The engine refreshes
-its trust table with the two in one pass over the links whose inputs
-changed, blending each of them once, and keeps the node verdict up to date
-by counts. ``node_trust`` puts a node's whole row together from the same
+``TrustStats`` buffers a cycle's evidence as it is recorded and applies it
+when the engine commits it at the end of the cycle; every read sees
+committed evidence only. ``latency_scores`` is the one computation of a
+row's latency scores and ``blend_links`` the one computation of the other
+components and the blend. The engine reads each trust value it routes on
+through the two, from the evidence, energies and levels of the end of the
+last cycle; ``node_trust`` puts a node's whole row together from the same
 two for ``Simulation.trust_rows()``, which serves the trust dump and the
 tests. The tests hold independent per-link references for the three
 metrics and the full node verdict, and compare ``node_trust`` and the
@@ -44,12 +45,6 @@ class LinkStats:
         self.latency_count = 0
         self.latency_sum = 0.0
 
-    def add_latency(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("latency samples must be non-negative")
-        self.latency_count += 1
-        self.latency_sum += value
-
     def mean_latency(self) -> float | None:
         if not self.latency_count:
             return None
@@ -60,53 +55,53 @@ class LinkStats:
 _NO_EVIDENCE = LinkStats()
 
 
+# the kinds of evidence a record buffers
+_SEND, _ACK, _LATENCY = range(3)
+
+
 class TrustStats:
     """All per-link evidence for one simulation instance (single writer).
 
-    Only evidence creates a link's record; reading a link without any
-    stores nothing. Every record also notes its sender until
-    ``take_senders`` hands the noted senders over, and a link's first send
-    notes the link until ``take_first_sends`` hands it over."""
+    The ``record_*`` calls buffer their evidence in the order it arrives;
+    ``commit`` applies the buffer, and ``link`` reads committed evidence
+    only. Only evidence creates a link's record; reading a link without any
+    stores nothing."""
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
-        self._senders: set[int] = set()
-        self._first_sends: list[tuple[int, int]] = []
+        self._pending: list[tuple[int, int, int, float]] = []
 
     def link(self, i: int, j: int) -> LinkStats:
         return self._links.get((i, j), _NO_EVIDENCE)
 
-    def take_senders(self) -> set[int]:
-        """Senders with new evidence since the last call."""
-        senders, self._senders = self._senders, set()
-        return senders
-
-    def take_first_sends(self) -> list[tuple[int, int]]:
-        """Links whose first send came since the last call, each once."""
-        links, self._first_sends = self._first_sends, []
-        return links
-
-    def _evidence(self, i: int, j: int) -> LinkStats:
-        self._senders.add(i)
-        s = self._links.get((i, j))
-        if s is None:
-            s = self._links[(i, j)] = LinkStats()
-        return s
-
     def record_send(self, i: int, j: int) -> None:
-        s = self._evidence(i, j)
-        if not s.packets_sent:
-            self._first_sends.append((i, j))
-        s.packets_sent += 1
+        self._pending.append((_SEND, i, j, 0.0))
 
     def record_ack(self, i: int, j: int) -> None:
-        s = self._evidence(i, j)
-        s.acks_received += 1
-        if s.acks_received > s.packets_sent:
-            raise RuntimeError(f"more acks than sends on link {i}->{j}")
+        self._pending.append((_ACK, i, j, 0.0))
 
     def record_latency(self, i: int, j: int, value: float) -> None:
-        self._evidence(i, j).add_latency(value)
+        if value < 0:
+            raise ValueError("latency samples must be non-negative")
+        self._pending.append((_LATENCY, i, j, value))
+
+    def commit(self) -> None:
+        """Apply the buffered evidence in the order it was recorded."""
+        links = self._links
+        for kind, i, j, value in self._pending:
+            s = links.get((i, j))
+            if s is None:
+                s = links[(i, j)] = LinkStats()
+            if kind == _SEND:
+                s.packets_sent += 1
+            elif kind == _ACK:
+                s.acks_received += 1
+                if s.acks_received > s.packets_sent:
+                    raise RuntimeError(f"more acks than sends on link {i}->{j}")
+            else:
+                s.latency_count += 1
+                s.latency_sum += value
+        self._pending = []
 
 
 def compute_trust(ne: float, ptr: float, pl: float,
@@ -120,44 +115,6 @@ def compute_trust(ne: float, ptr: float, pl: float,
         a1, a2, a3 = a1 * 2.0 ** 1000, a2 * 2.0 ** 1000, a3 * 2.0 ** 1000
         total = a1 + a2 + a3
     return (a1 * ne + a2 * ptr + a3 * pl) / total
-
-
-def level_latency_scores(means: Sequence[float], levels: Sequence,
-                         polarity: str, reference: float) -> list[float]:
-    """Latency score of each of a node's neighbors with latency evidence.
-
-    ``means`` and ``levels`` hold those neighbors' mean latencies and
-    levels, in adjacency order. Each is compared against the mean of the
-    others on its level: the means are summed once per level and its own
-    term is taken back out. Without such peers, ``reference`` (a nominal
-    comparison latency) stands in for their mean. Normalized polarity
-    rewards nodes faster than their peers, capped at 1, and scores an
-    unbounded mean latency (transfers that never completed) 0 outright;
-    literal polarity returns the raw slow/fast ratio clamped to [0,1].
-    """
-    group_sum: dict = {}
-    group_cnt: dict = {}
-    for m, lvl in zip(means, levels):
-        group_sum[lvl] = group_sum.get(lvl, 0.0) + m
-        group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
-    scores = []
-    for m_j, lvl in zip(means, levels):
-        if polarity != "literal" and m_j == math.inf:
-            pl = 0.0
-        else:
-            cnt = group_cnt[lvl] - 1
-            mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else reference
-            if polarity == "literal":
-                if m_j == math.inf or mean_others == 0.0:
-                    pl = 1.0
-                else:
-                    pl = min(1.0, max(0.0, m_j / mean_others))
-            elif m_j == 0.0:
-                pl = 1.0
-            else:
-                pl = min(1.0, mean_others / m_j)
-        scores.append(pl)
-    return scores
 
 
 def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
@@ -181,15 +138,43 @@ def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
 
 def latency_scores(stats: TrustStats, i: int, neighbors: Sequence[int],
                    levels: Sequence, polarity: str, reference: float,
-                   ) -> tuple[dict[int, float], list[float]]:
-    """``({j: pl}, means)`` over the neighbors of i with latency evidence,
-    in ``neighbors`` order: their latency scores from
-    ``level_latency_scores`` and their mean latencies. ``levels`` is
-    indexed by endpoint id, the sink included."""
-    timed = [j for j in neighbors if stats.link(i, j).latency_count]
-    means = [stats.link(i, j).mean_latency() for j in timed]
-    scores = level_latency_scores(means, [levels[j] for j in timed], polarity, reference)
-    return dict(zip(timed, scores)), means
+                   ) -> dict[int, float]:
+    """Latency score of each neighbor j of i with latency evidence on (i, j).
+
+    ``levels`` is indexed by endpoint id, the sink included. Each mean
+    latency is compared against the mean of the others on its level: the
+    means are summed once per level, in ``neighbors`` order, and its own
+    term is taken back out. Without such peers, ``reference`` (a nominal
+    comparison latency) stands in for their mean. Normalized polarity
+    rewards nodes faster than their peers, capped at 1, and scores an
+    unbounded mean latency (transfers that never completed) 0 outright;
+    literal polarity returns the raw slow/fast ratio clamped to [0,1].
+    """
+    timed = [(j, s.mean_latency(), levels[j]) for j in neighbors
+             if (s := stats.link(i, j)).latency_count]
+    group_sum: dict = {}
+    group_cnt: dict = {}
+    for _, m, lvl in timed:
+        group_sum[lvl] = group_sum.get(lvl, 0.0) + m
+        group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
+    scores = {}
+    for j, m_j, lvl in timed:
+        if polarity != "literal" and m_j == math.inf:
+            pl = 0.0
+        else:
+            cnt = group_cnt[lvl] - 1
+            mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else reference
+            if polarity == "literal":
+                if m_j == math.inf or mean_others == 0.0:
+                    pl = 1.0
+                else:
+                    pl = min(1.0, max(0.0, m_j / mean_others))
+            elif m_j == 0.0:
+                pl = 1.0
+            else:
+                pl = min(1.0, mean_others / m_j)
+        scores[j] = pl
+    return scores
 
 
 def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
@@ -201,5 +186,5 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
     ``levels`` and ``energies`` are indexed by endpoint id, the sink
     included.
     """
-    scores, _ = latency_scores(stats, i, neighbors, levels, polarity, reference)
+    scores = latency_scores(stats, i, neighbors, levels, polarity, reference)
     return blend_links(stats, i, neighbors, energies, e_init, scores, a1, a2, a3)

@@ -198,10 +198,11 @@ class TestTrustDump:
         sim = Simulation(replace(spec.config, max_cycles=200), protocol="tc_aco", seed=1)
         sim.run()
         rows = trust_dump_text(sim).splitlines()[1:]
-        assert len(rows) == len(sim.trust_table)
+        n = sim.cfg.node_count
+        assert len(rows) == sum(len(sim.topology.adjacency[i]) for i in range(n))
         for line in rows:
             i, j, _, _, _, t_ij, _ = line.split(",")
-            assert float(t_ij) == sim.trust_table[(int(i), int(j))], line
+            assert float(t_ij) == sim.trust(int(i), int(j)), line
 
 
 class TestMainExitCodes:
@@ -215,6 +216,12 @@ class TestMainExitCodes:
     def test_parse_error_is_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
+        assert main(["--config", str(path)]) == 1
+
+    def test_non_finite_number_is_1(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"tau_init": NaN, "protocols": ["dist_aco"], "max_cycles": 2, '
+                        f'"out_dir": {json.dumps(str(tmp_path / "o"))}}}')
         assert main(["--config", str(path)]) == 1
 
     def test_missing_file_is_1(self, tmp_path):

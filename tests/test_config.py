@@ -89,6 +89,26 @@ def test_unknown_key_named_in_error(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"tau_init": NaN}', "tau_init"),
+    ('{"initial_energy": Infinity}', "initial_energy"),
+    ('{"rho": -Infinity}', "rho"),
+    ('{"e_elec": NaN}', "e_elec"),
+    ('{"field_width": NaN}', "field_width"),
+    ('{"tau_floor": NaN}', "tau_floor"),
+    ('{"pheromone_deposit_scale": NaN}', "pheromone_deposit_scale"),
+    ('{"latency_penalty_cycles": NaN}', "latency_penalty_cycles"),
+    ('{"bs_position": [NaN, 10]}', "bs_position"),
+    ('{"fault_spec": [{"behavior": "drop", "fraction": 0.2, "p": NaN}]}',
+     r"fault_spec\[0\]\.p"),
+])
+def test_non_finite_number_named_in_error(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=key):
+        load_config(str(path))
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"node_count": 10,}')

@@ -19,7 +19,7 @@ from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.routing import live_adjacency
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, blend_links, compute_trust
+from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, blend_links, compute_trust
 import random
 
 from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
@@ -185,7 +185,7 @@ class TestDropRelay:
         sim = self.chain()
         for _ in range(4):
             sim.run_cycle()
-        assert sim.trust_table[(0, 1)] < sim.cfg.trust_threshold
+        assert sim.trust(0, 1) < sim.cfg.trust_threshold
         assert sim.node_class[1] == "malicious"
 
 
@@ -483,7 +483,7 @@ class TestTrustTableAgreement:
         partial_scores = 0
         for i, rows in sim.trust_rows():
             for j, ne, ptr, pl, t_ij in rows:
-                assert t_ij == sim.trust_table[(i, j)], (i, j)
+                assert t_ij == sim.trust(i, j), (i, j)
                 e_j = cfg.initial_energy if j == sim.bs else sim.energy[j]
                 lvl_j = bs_level if j == sim.bs else levels[j]
                 peers = [k for k in sim.topology.adjacency[i]
@@ -645,9 +645,15 @@ class TestKeptCounters:
         assert any(row.in_flight for row in sim.metric_rows)
 
 
+def all_trust(sim):
+    """``trust_rows`` as a map of link -> t_ij."""
+    return {(i, j): t_ij for i, rows in sim.trust_rows() for j, _, _, _, t_ij in rows}
+
+
 class TestIncrementalTrust:
-    """The engine refreshes only trust rows whose inputs changed; after every
-    cycle its table and verdict must equal the full recomputation."""
+    """The engine reads trust on demand from the state of the end of the
+    last cycle; after every cycle each link must read as the full
+    recomputation and each node's verdict as ``classify``."""
 
     GOLDEN_CASES = [f"{protocol}_{mode}" for protocol in ("tc_aco", "trust_greedy")
                     for mode in ("deterministic_rank", "stochastic_roulette")] + [
@@ -656,16 +662,16 @@ class TestIncrementalTrust:
 
     # light traffic on a wide network: most rows keep their energies and
     # evidence from one cycle to the next while the rotating source moves
-    # the levels, so only the level-grouping rule catches their changes
+    # the levels, so only the level grouping changes their latency scores
     SPARSE = dict(node_count=60, field_width=300.0, field_height=300.0,
                   packets_per_round=2, max_cycles=150, source_policy="random_per_round",
                   fault_spec=(FaultSpec(behavior="delay", fraction=0.2, extra=2),))
 
     @staticmethod
     def run_checked(sim):
-        """Run ``sim`` to its end, checking after every cycle that its refresh
-        blended no link twice and that table and verdict equal the full
-        recomputation."""
+        """Run ``sim`` to its end, checking after every cycle that no link
+        was blended twice since the last step 8, and that every link's trust
+        and every node's verdict read as the full recomputation."""
         cfg = sim.cfg
         blended = []
 
@@ -674,24 +680,22 @@ class TestIncrementalTrust:
             blended.extend((i, j) for j, *_ in rows)
             return rows
 
-        refreshes = 0
-        with mock.patch("tcaco.trust.blend_links", recording), \
-                mock.patch("tcaco.engine.blend_links", recording):
+        with mock.patch("tcaco.engine.blend_links", recording):
             while sim.cycle < cfg.max_cycles:
-                blended.clear()
                 try:
                     sim.run_cycle()
                 except (SourceDead, DisconnectedNetwork):
                     break
+                # reads by the checks below and by routing fall between the
+                # same two step 8s
                 repeated = [link for link, k in Counter(blended).items() if k > 1]
                 assert not repeated, (sim.cycle, repeated)
-                refreshes += bool(blended)
-                full = {(i, j): t_ij for i, rows in sim.trust_rows()
-                        for j, _, _, _, t_ij in rows}
-                assert sim.trust_table == full, sim.cycle
+                blended.clear()
+                full = all_trust(sim)
+                assert {link: sim.trust(*link) for link in full} == full, sim.cycle
                 assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
                                                   cfg.node_count), sim.cycle
-        assert refreshes
+        assert blended
         return sim
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
@@ -712,19 +716,66 @@ class TestIncrementalTrust:
         cfg = SimConfig(**{**self.SPARSE, "trust_threshold": 0.8, "fault_spec": ()})
         sim = Simulation(cfg, seed=3)
         # at 0.3 of their energy, links between nodes without evidence score
-        # (0.3 + 1 + 1) / 3 < 0.8; the engine takes up energy written before
-        # its first cycle, and after that only its own debits
+        # (0.3 + 1 + 1) / 3 < 0.8; the snapshot takes up the energy written
+        # before the first cycle
         sim.energy[:] = [e * 0.3 for e in sim.energy]
         sim.run_cycle()
         adjacency = sim.topology.adjacency
-        i, j = next((i, j) for (i, j) in sim.trust_table
+        i, j = next((i, j) for i in range(cfg.node_count) for j in adjacency[i]
                     if j != sim.bs and not any(sim.stats.link(k, j).packets_sent
                                                for k in adjacency[j]))
-        assert sim.trust_table[i, j] <= cfg.trust_threshold
+        assert sim.trust(i, j) <= cfg.trust_threshold
+        assert sim.node_class[j] != MALICIOUS_NODE
         sim.stats.record_send(i, j)
         sim.stats.record_ack(i, j)
+        sim.stats.commit()
         sim._recompute_trust()
-        assert sim.trust_table[i, j] <= cfg.trust_threshold
-        assert sim.node_class == classify(sim.trust_table, sim.stats,
+        assert sim.trust(i, j) <= cfg.trust_threshold
+        assert sim.node_class == classify(all_trust(sim), sim.stats,
                                           cfg.trust_threshold, cfg.node_count)
         assert sim.node_class[j] == MALICIOUS_NODE
+
+
+class TestTrustReadsAtCycleStart:
+    """Every trust value and verdict routing reads during cycle c equals
+    ``trust_rows``/``classify`` taken right after cycle c-1 (before cycle
+    1: every link 1.0, every node trusted)."""
+
+    # many delayed packets are delivered while the sweep is under way, so
+    # some verdicts read links whose rows gained latency evidence earlier in
+    # the same cycle
+    CFG = dict(node_count=30, field_width=140.0, field_height=140.0,
+               packets_per_round=15, max_cycles=100, wc_max=4,
+               source_policy="random_per_round",
+               fault_spec=(FaultSpec(behavior="drop", fraction=0.1, p=0.5),
+                           FaultSpec(behavior="delay", fraction=0.3, extra=1)))
+
+    @pytest.mark.parametrize("protocol", ["tc_aco", "trust_greedy"])
+    def test_reads_equal_the_previous_cycles_recomputation(self, protocol):
+        cfg = SimConfig(**self.CFG)
+        sim = Simulation(cfg, protocol=protocol, seed=4)
+        trust, malicious = sim.trust, sim.malicious
+        read_t, read_v = [], []
+
+        def recording_trust(i, j):
+            read_t.append(((i, j), trust(i, j)))
+            return read_t[-1][1]
+
+        def recording_malicious(j):
+            read_v.append((j, malicious(j)))
+            return read_v[-1][1]
+
+        sim.trust, sim.malicious = recording_trust, recording_malicious
+        reads = flagged = 0
+        while sim.cycle < cfg.max_cycles:
+            full = all_trust(sim)
+            verdict = classify(full, sim.stats, cfg.trust_threshold, cfg.node_count)
+            read_t.clear()
+            read_v.clear()
+            sim.run_cycle()
+            assert all(t_ij == full[link] for link, t_ij in read_t), sim.cycle
+            assert all(verdict[j] == (MALICIOUS_NODE if flag else TRUSTED_NODE)
+                       for j, flag in read_v), sim.cycle
+            reads += len(read_t)
+            flagged += any(flag for _, flag in read_v)
+        assert reads and flagged

@@ -13,7 +13,7 @@ from tcaco.model import TERMINAL_FATES
 from tcaco.routing import assign_levels, hops_from, live_adjacency
 from tcaco.topology import DisconnectedNetwork, build_topology
 
-from test_engine import conserved_totals, route_lines
+from test_engine import all_trust, conserved_totals, route_lines
 from test_trust import classify
 
 fractions = st.sampled_from([0.1, 0.2, 0.3])
@@ -73,8 +73,9 @@ def test_random_run_keeps_its_invariants(cfg, protocol):
 @given(configs.map(lambda cfg: replace(cfg, source_policy="random_per_round")),
        st.sampled_from(["tc_aco", "trust_greedy"]))
 def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
-    """After every cycle the kept table equals ``trust_rows`` and the kept
-    verdict equals ``classify`` over that table."""
+    """After every cycle each link's trust read on demand equals
+    ``trust_rows`` and the verdict read on demand equals ``classify`` over
+    those values."""
     try:
         sim = Simulation(cfg, protocol=protocol)
     except DisconnectedNetwork:
@@ -84,8 +85,8 @@ def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
             sim.run_cycle()
         except (SourceDead, DisconnectedNetwork):
             break
-        full = {(i, j): t_ij for i, rows in sim.trust_rows() for j, _, _, _, t_ij in rows}
-        assert sim.trust_table == full, sim.cycle
+        full = all_trust(sim)
+        assert {link: sim.trust(*link) for link in full} == full, sim.cycle
         assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
                                           cfg.node_count), sim.cycle
 

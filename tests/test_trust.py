@@ -99,6 +99,7 @@ def make_stats(sent=0, acked=0, latencies=(), link=(0, 1)):
         stats.record_ack(i, j)
     for value in latencies:
         stats.record_latency(i, j, value)
+    stats.commit()
     return stats
 
 
@@ -116,8 +117,9 @@ class TestTransmissionRatio:
 
     def test_more_acks_than_sends_rejected(self):
         stats = make_stats(sent=1, acked=1)
+        stats.record_ack(0, 1)      # checked when the evidence is committed
         with pytest.raises(RuntimeError):
-            stats.record_ack(0, 1)
+            stats.commit()
 
 
 class TestLatencyScore:
@@ -125,12 +127,14 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, 2.0)
         stats.record_latency(0, 2, 4.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0  # min(1, 4/2)
 
     def test_slower_than_peers(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 8.0)
         stats.record_latency(0, 2, 4.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == pytest.approx(0.5, abs=1e-9)
 
     def test_no_samples_bootstraps_to_one(self):
@@ -140,21 +144,25 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, 0.0)
         stats.record_latency(0, 2, 4.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
 
     def test_literal_polarity_rewards_slow(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 2.0)
         stats.record_latency(0, 2, 4.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, [2], polarity="literal") == pytest.approx(0.5)
         stats2 = TrustStats()
         stats2.record_latency(0, 1, 8.0)
         stats2.record_latency(0, 2, 4.0)
+        stats2.commit()
         assert latency_score(stats2, 0, 1, [2], polarity="literal") == 1.0  # clamped
 
     def test_reference_used_when_no_peer_evidence(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 6.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
         assert latency_score(stats, 0, 1, peers=[2], reference=3.0) == pytest.approx(0.5)
 
@@ -162,16 +170,19 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, math.inf)
         stats.record_latency(0, 2, 4.0)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 0.0
         # even without peers, with only a reference
         stats2 = TrustStats()
         stats2.record_latency(0, 1, math.inf)
+        stats2.commit()
         assert latency_score(stats2, 0, 1, peers=[], reference=3.0) == 0.0
 
     def test_peer_with_unbounded_latency_makes_finite_look_fast(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 5.0)
         stats.record_latency(0, 2, math.inf)
+        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
 
 
@@ -232,6 +243,7 @@ def sent(*links):
     stats = TrustStats()
     for i, j in links:
         stats.record_send(i, j)
+    stats.commit()
     return stats
 
 
@@ -287,6 +299,7 @@ def test_drop_all_link_converges_untrusted():
         for _ in range(5):
             stats.record_send(0, 1)
             stats.record_latency(0, 1, math.inf)
+        stats.commit()
         for j, _, _, _, t_ij in node_trust(stats, 0, [1, 2], levels, energies,
                                            1.0, 1, 1, 1, "normalized", 3.0):
             table[(0, j)] = t_ij
@@ -304,17 +317,27 @@ class TestEvidenceRecords:
         assert stats.link(0, 1).mean_latency() is None
         assert stats._links == {}
 
-    def test_first_sends_handed_over_once(self):
+    def test_reads_see_only_committed_evidence(self):
         stats = TrustStats()
-        stats.record_latency(2, 3, 1.0)   # evidence, but no send
         stats.record_send(0, 1)
+        stats.record_ack(0, 1)
+        stats.record_latency(0, 1, 2.0)
+        assert stats.link(0, 1).packets_sent == 0
+        assert stats.link(0, 1).mean_latency() is None
+        assert stats._links == {}
+        stats.commit()
         stats.record_send(0, 1)
-        stats.record_send(1, 0)
-        assert stats.take_first_sends() == [(0, 1), (1, 0)]
-        stats.record_send(0, 1)
-        stats.record_send(2, 3)
-        assert stats.take_first_sends() == [(2, 3)]
-        assert stats.take_first_sends() == []
+        stats.record_latency(0, 1, 4.0)
+        link = stats.link(0, 1)
+        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (1, 1, 2.0)
+        stats.commit()
+        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (2, 1, 3.0)
+        stats.commit()      # an empty buffer changes nothing
+        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (2, 1, 3.0)
+
+    def test_negative_latency_fails_at_record(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TrustStats().record_latency(0, 1, -1.0)
 
     def test_engine_run_stores_only_links_with_evidence(self):
         from test_golden import case_simulation
@@ -323,4 +346,6 @@ class TestEvidenceRecords:
         records = sim.stats._links
         assert records
         assert all(s.packets_sent > 0 for s in records.values())
-        assert len(records) < len(sim.trust_table)   # the trust reads allocated none
+        # the trust reads allocated none
+        links = sum(len(sim.topology.adjacency[i]) for i in range(sim.cfg.node_count))
+        assert len(records) < links
