@@ -695,7 +695,7 @@ class TestIncrementalTrust:
                 assert {link: sim.trust(*link) for link in full} == full, sim.cycle
                 assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
                                                   cfg.node_count), sim.cycle
-        assert blended
+        assert blended      # the engine blends through the patched name
         return sim
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
