@@ -22,8 +22,9 @@ from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
 from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
-                      live_adjacency, rank_by_probability, select_next_hop,
-                      transition_probabilities, trust_congestion_metric)
+                      live_adjacency, rank_by_probability, roulette_wheel,
+                      select_next_hop, transition_probabilities,
+                      trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
                     latency_scores, node_trust)
@@ -164,9 +165,10 @@ class Simulation:
         self.stats = TrustStats()
         # the levels and energies trust is read from, as of step 8 of the last
         # cycle (None before the first), and until the next step 8 the trust
-        # values and row latency scores read from them so far
+        # values, verdicts and row latency scores read from them so far
         self._snapshot: Optional[tuple[list, list[float]]] = None
         self._trust_read: dict[tuple[int, int], float] = {}
+        self._verdict_read: dict[int, bool] = {}
         self._row_scores: dict[int, dict[int, float]] = {}
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
                                         cfg.tau_floor, cfg.rho)
@@ -401,6 +403,10 @@ class Simulation:
             return
         probabilities = transition_probabilities(candidates, *self.betas)
         ranked = rank_by_probability(probabilities)
+        # the candidate set is fixed for this call, so every selection's
+        # first roulette draw spins one wheel
+        wheel = (roulette_wheel(ranked, probabilities)
+                 if cfg.forwarding_mode == "stochastic_roulette" else None)
         limit = cfg.per_cycle_forward_limit
         max_attempts = cfg.max_transfer_attempts
 
@@ -418,7 +424,7 @@ class Simulation:
                 if self.energy[i] < cfg.energy_threshold:
                     return
                 j = select_next_hop(ranked, self._admissible, cfg.forwarding_mode,
-                                    probabilities, self.rng)
+                                    probabilities, self.rng, wheel)
                 if j is None:
                     # nothing admissible now; this and later packets keep aging
                     return
@@ -493,17 +499,24 @@ class Simulation:
     def malicious(self, j: int) -> bool:
         """Verdict on node j: some node has sent to it, and none of those
         senders' links to it is trustworthy. The walk over its senders stops
-        at the first trustworthy link."""
+        at the first trustworthy link; after the first snapshot each node is
+        walked at most once per cycle."""
+        verdict = self._verdict_read.get(j)
+        if verdict is not None:
+            return verdict
         th = self.cfg.trust_threshold
         stats = self.stats
-        sent_to = False
+        verdict = False
         # links are symmetric, so j's senders are among its neighbours
         for k in self.topology.adjacency[j]:
             if stats.link(k, j).packets_sent:
                 if self.trust(k, j) > th:
-                    return False
-                sent_to = True
-        return sent_to
+                    verdict = False
+                    break
+                verdict = True
+        if self._snapshot is not None:
+            self._verdict_read[j] = verdict
+        return verdict
 
     def _recompute_trust(self) -> None:
         """Take the snapshot ``trust`` reads until the next step 8: the
@@ -511,6 +524,7 @@ class Simulation:
         reads. Nothing is blended here."""
         self._snapshot = self._trust_inputs()
         self._trust_read.clear()
+        self._verdict_read.clear()
         self._row_scores.clear()
 
     def run_cycle(self) -> CycleStats:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .topology import DisconnectedNetwork, Topology
@@ -129,17 +130,29 @@ def rank_by_probability(probabilities: dict[int, float]) -> list[int]:
     return [cid for cid, _ in sorted(probabilities.items(), key=lambda kv: (-kv[1], kv[0]))]
 
 
+def roulette_wheel(pool: Sequence[int], probabilities: dict[int, float],
+                   ) -> tuple[list[float], float]:
+    """A roulette draw's table over ``pool``: the running sums of the
+    candidates' probabilities in pool order, and their total."""
+    weights = [probabilities[cid] for cid in pool]
+    return list(accumulate(weights)), sum(weights)
+
+
 def select_next_hop(ranked: Sequence[int],
                     admissible: Callable[[int], bool],
                     mode: str = "deterministic_rank",
                     probabilities: Optional[dict[int, float]] = None,
-                    rng=None) -> Optional[int]:
+                    rng=None,
+                    wheel: Optional[tuple[list[float], float]] = None,
+                    ) -> Optional[int]:
     """Pick the next hop, or None when every candidate is inadmissible.
 
     Rank mode walks the descending-probability list and returns the first
     candidate whose queue has room and whose battery clears the threshold.
     Roulette mode samples proportionally to probability, discarding
-    inadmissible draws without replacement.
+    inadmissible draws without replacement. ``wheel``, when given, is
+    ``roulette_wheel(ranked, probabilities)``, built once by a caller that
+    selects many times over one candidate set; it is only read.
     """
     if mode == "deterministic_rank":
         for cid in ranked:
@@ -150,24 +163,18 @@ def select_next_hop(ranked: Sequence[int],
         raise ValueError(f"unknown forwarding mode {mode!r}")
     if probabilities is None or rng is None:
         raise ValueError("roulette selection needs probabilities and an rng")
-    pool = [cid for cid in ranked]
-    weights = [probabilities[cid] for cid in pool]
+    pool = list(ranked)
+    cum, total = wheel or roulette_wheel(pool, probabilities)
     while pool:
-        total = sum(weights)
         if total <= 0.0:
             idx = 0
         else:
-            cum = []
-            acc = 0.0
-            for w in weights:
-                acc += w
-                cum.append(acc)
             idx = bisect.bisect_left(cum, rng.random() * total)
             idx = min(idx, len(pool) - 1)
         cid = pool.pop(idx)
-        weights.pop(idx)
         if admissible(cid):
             return cid
+        cum, total = roulette_wheel(pool, probabilities)
     return None
 
 

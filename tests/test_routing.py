@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcaco.routing import (PheromoneTable, assign_levels, live_adjacency,
-                           rank_by_probability, select_next_hop,
+                           rank_by_probability, roulette_wheel, select_next_hop,
                            transition_probabilities, trust_congestion_metric)
 from tcaco.topology import DisconnectedNetwork, build_topology
 
@@ -161,6 +161,24 @@ class TestSelection:
         seq_b = [select_next_hop([3, 1, 2], lambda _: True, "stochastic_roulette",
                                  probs, random.Random(42)) for _ in range(5)]
         assert seq_a == seq_b
+
+    def test_shared_wheel_draws_as_a_fresh_one(self):
+        """One wheel serves many roulette selections over one candidate set:
+        same picks, same RNG stream, rejections included, and the wheel is
+        left as it was."""
+        probs = {7: 0.05, 3: 0.4, 1: 0.25, 9: 0.3}
+        ranked = rank_by_probability(probs)
+        wheel = roulette_wheel(ranked, probs)
+        kept = copy.deepcopy(wheel)
+        for refused in (set(), {3}, {3, 9}, {1, 3, 7, 9}):
+            admissible = lambda cid: cid not in refused
+            shared, fresh = random.Random(5), random.Random(5)
+            picks = [select_next_hop(ranked, admissible, "stochastic_roulette",
+                                     probs, shared, wheel) for _ in range(30)]
+            assert picks == [select_next_hop(ranked, admissible, "stochastic_roulette",
+                                             probs, fresh) for _ in range(30)]
+            assert shared.random() == fresh.random()
+        assert wheel == kept
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

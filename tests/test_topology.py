@@ -1,14 +1,17 @@
 """Distance metric, disk-graph construction, and domain object invariants."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tcaco import topology
 from tcaco.config import SimConfig
-from tcaco.engine import Simulation
+from tcaco.engine import Simulation, deploy_nodes
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
-from tcaco.topology import DisconnectedNetwork, build_topology, euclidean_distance
+from tcaco.topology import (DisconnectedNetwork, Topology, build_topology,
+                            euclidean_distance)
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 point = st.tuples(coord, coord)
@@ -70,6 +73,111 @@ def test_coincident_endpoints_rejected_at_construction():
         Simulation(cfg, positions=[(0.0, 0.0), (0.0, 0.0), (30.0, 0.0)])
     with pytest.raises(ValueError, match="node 2 and the base station are at the same point"):
         Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0), (60.0, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected_at_construction(bad):
+    """A node or a sink off the plane has no distance to anything; the
+    simulation names it instead of leaving it without links."""
+    cfg = SimConfig(node_count=3, radio_range=35.0, bs_position=(60.0, 0.0),
+                    source_node=0, max_cycles=5)
+    with pytest.raises(ValueError, match="node 1 has a non-finite coordinate"):
+        Simulation(cfg, positions=[(0.0, 0.0), (bad, 0.0), (30.0, 0.0)])
+    with pytest.raises(ValueError, match="node 2 has a non-finite coordinate"):
+        Simulation(cfg, positions=[(0.0, 0.0), (30.0, 0.0), (40.0, bad)])
+    sink_off = SimConfig(node_count=3, radio_range=35.0, bs_position=(bad, 0.0),
+                         source_node=0, max_cycles=5)
+    with pytest.raises(ValueError, match="the base station has a non-finite coordinate"):
+        Simulation(sink_off, positions=[(0.0, 0.0), (30.0, 0.0), (40.0, 0.0)])
+
+
+def all_pairs_topology(positions, bs_position, radio_range) -> Topology:
+    """Measure every unordered pair (i, j), i < j, in id order: the
+    reference the cell-grid build is held to."""
+    pts = [tuple(p) for p in positions] + [tuple(bs_position)]
+    n_all = len(pts)
+    distances = [{} for _ in range(n_all)]
+    for i in range(n_all):
+        for j in range(i + 1, n_all):
+            d = euclidean_distance(pts[i], pts[j])
+            if d <= radio_range:
+                if not d:
+                    other = "the base station" if j == n_all - 1 else f"node {j}"
+                    raise ValueError(f"node {i} and {other} are at the same point")
+                distances[i][j] = d
+                distances[j][i] = d
+    if not distances[n_all - 1]:
+        raise DisconnectedNetwork("no node within radio range of the base station")
+    return Topology(positions=tuple(pts[:-1]), distances=tuple(distances),
+                    adjacency=tuple(tuple(row) for row in distances))
+
+
+@st.composite
+def layouts(draw):
+    """Nodes and a sink, mixing points on a lattice of spacing range or
+    range/2 (so that some pairs are exactly the range apart) with points
+    anywhere around the origin. One layout in four repeats a node's point,
+    and the sink may sit on a node or beyond every node."""
+    radio_range = draw(st.one_of(st.sampled_from([60.0, 35.0, 1.0, 0.1, 1 / 3]),
+                                 st.floats(1e-3, 1e3)))
+    spacing = draw(st.sampled_from([radio_range, radio_range / 2]))
+    coord = st.one_of(st.integers(-4, 4).map(lambda k: k * spacing),
+                      st.floats(-2 * radio_range, 2 * radio_range))
+    nodes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30,
+                          unique=True))
+    if draw(st.integers(0, 3)) == 3:
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(nodes)))
+    sink = draw(st.integers(0, 7))
+    if sink == 7:
+        bs = draw(st.sampled_from(nodes))
+    elif sink == 6:
+        edge = max(abs(c) for p in nodes for c in p)
+        side = draw(st.sampled_from([1.0, -1.0]))
+        bs = (side * draw(st.floats(edge, edge + radio_range)), draw(coord))
+    else:
+        bs = draw(st.tuples(coord, coord).filter(lambda p: p not in nodes))
+    return nodes, bs, radio_range
+
+
+def outcome(build, nodes, bs, radio_range):
+    try:
+        topo = build(nodes, bs, radio_range)
+    except (ValueError, DisconnectedNetwork) as e:
+        return None, (type(e), str(e))
+    return topo, [list(row) for row in topo.distances]
+
+
+@settings(max_examples=400, deadline=None)
+@given(layouts())
+def test_cell_grid_build_equals_all_pairs(layout):
+    """Same links, same bit-identical distances, same row key order, and
+    the same error for the same layout."""
+    got, got_rows = outcome(build_topology, *layout)
+    want, want_rows = outcome(all_pairs_topology, *layout)
+    assert got == want
+    assert got_rows == want_rows
+
+
+def test_measures_a_bounded_share_of_pairs(monkeypatch):
+    """At n=1600 on a field of the shipped density each endpoint measures
+    only its cell neighbourhood: at most 4 distances per undirected link,
+    where measuring every pair would take about 120."""
+    n = 1600
+    side = 200.0 * math.sqrt(n / 50)
+    cfg = SimConfig(node_count=n, field_width=side, field_height=side)
+    positions = deploy_nodes(cfg, random.Random(1))
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return euclidean_distance(a, b)
+
+    monkeypatch.setattr(topology, "euclidean_distance", counted)
+    topo = build_topology(positions, cfg.effective_bs_position(), cfg.radio_range)
+    links = sum(map(len, topo.adjacency)) // 2
+    assert links > 5 * n
+    assert calls <= 4 * links
 
 
 def test_neighbor_distances_symmetric():
