@@ -22,9 +22,9 @@ from typing import Optional
 
 from .config import (ConfigError, ParseError, SimConfig, check_json_type,
                      config_from_dict, read_json_object, validate_config)
-from .engine import PROTOCOLS, SimMetrics, Simulation
-from .output import (per_cycle_csv_text, route_dump_text, summary_json_text,
-                     trust_dump_text)
+from .engine import PROTOCOLS, Simulation
+from .output import (per_cycle_csv_text, replicate_record, route_dump_text,
+                     summary_json_text, trust_dump_text)
 
 EMIT_CHOICES = ("per-cycle", "summary", "trust", "routes")
 DEFAULT_EMIT = ("per-cycle", "summary")
@@ -134,11 +134,43 @@ def _attempt(run):
         return None, exc
 
 
+def _run_jobs(jobs: list, workers: int, take) -> None:
+    """Run each job and call ``take(job, *outcome)`` with its ``_attempt``
+    outcome, in job order, as soon as it is known.
+
+    Nothing here holds an outcome once ``take`` has returned, so memory
+    holds one job's artifacts at a time (in a pool, also those of jobs that
+    finish ahead of their turn). If ``take`` raises, no later job starts.
+    """
+    if workers == 1:
+        for job in jobs:
+            take(job, *_attempt(partial(_run_one, job)))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            futures = [pool.submit(_run_one, job) for job in jobs]
+            for k, job in enumerate(jobs):
+                future, futures[k] = futures[k], None
+                take(job, *_attempt(future.result))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run every protocol x replicate, write outputs, return an exit code.
 
-    A failed replicate is named on stderr and the others still write their
-    files; summary.json is then left out and the exit code is 2.
+    Each replicate's files are written as soon as it ends, and only its
+    summary record is kept, so memory holds one replicate's output at a
+    time; summary.json is written last. A failed replicate is named on
+    stderr and the others still write their files; summary.json is then
+    left out and the exit code is 2. A write that fails ends the experiment
+    at once with exit code 3: no later replicate starts, the files already
+    written stay, and summary.json is not written.
     """
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -157,44 +189,35 @@ def run_experiment(spec: ExperimentSpec) -> int:
         for protocol in spec.protocols
         for seed in spec.seeds
     ]
-
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_run_one, job) for job in jobs]
-            outcomes = [_attempt(future.result) for future in futures]
-    else:
-        outcomes = [_attempt(partial(_run_one, job)) for job in jobs]
-
     failed = False
-    results: dict[str, list[SimMetrics]] = {p: [] for p in spec.protocols}
+    records: dict[str, list[dict]] = {p: [] for p in spec.protocols}
+
+    def take(job, artifacts, exc) -> None:
+        nonlocal failed
+        _, protocol, seed, _, _ = job
+        if exc is not None:
+            failed = True
+            print(f"error: run failed ({protocol}, seed {seed}): "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return
+        metrics, trust_text, route_text = artifacts
+        records[protocol].append(replicate_record(metrics))
+        stem = os.path.join(spec.out_dir, f"{protocol}_rep{spec.seeds.index(seed)}")
+        if "per-cycle" in spec.emit:
+            _write_text(f"{stem}.csv", per_cycle_csv_text(metrics))
+        if trust_text is not None:
+            _write_text(f"{stem}_trust.csv", trust_text)
+        if route_text is not None:
+            _write_text(f"{stem}_routes.txt", route_text)
+
     try:
-        for job, (artifacts, exc) in zip(jobs, outcomes):
-            _, protocol, seed, _, _ = job
-            if exc is not None:
-                failed = True
-                print(f"error: run failed ({protocol}, seed {seed}): "
-                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                continue
-            metrics, trust_text, route_text = artifacts
-            rep_idx = spec.seeds.index(seed)
-            results[protocol].append(metrics)
-            stem = os.path.join(spec.out_dir, f"{protocol}_rep{rep_idx}")
-            if "per-cycle" in spec.emit:
-                with open(f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
-                    fh.write(per_cycle_csv_text(metrics))
-            if trust_text is not None:
-                with open(f"{stem}_trust.csv", "w", encoding="utf-8", newline="") as fh:
-                    fh.write(trust_text)
-            if route_text is not None:
-                with open(f"{stem}_routes.txt", "w", encoding="utf-8", newline="") as fh:
-                    fh.write(route_text)
+        _run_jobs(jobs, spec.workers, take)
         if failed:
             # a summary over the surviving replicates would pass for the full grid
             return 2
         if "summary" in spec.emit:
-            path = os.path.join(spec.out_dir, "summary.json")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(summary_json_text(results))
+            _write_text(os.path.join(spec.out_dir, "summary.json"),
+                        summary_json_text(records, spec.config.node_count))
     except OSError as exc:
         print(f"error: writing outputs failed: {exc}", file=sys.stderr)
         return 3

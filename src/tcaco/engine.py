@@ -27,7 +27,7 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
-                    latency_scores, node_trust)
+                    latency_scores, node_trust, trust_weights)
 
 
 class SourceDead(RuntimeError):
@@ -60,7 +60,7 @@ def get_policy(protocol: str, cfg: SimConfig) -> tuple[bool, tuple[float, float,
     return trust_filter, betas(cfg)
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleStats:
     """Per-cycle increments plus end-of-cycle levels.
 
@@ -163,6 +163,7 @@ class Simulation:
         self.latency_penalty = cfg.effective_latency_penalty()
 
         self.stats = TrustStats()
+        self.trust_weights = trust_weights(cfg.a1, cfg.a2, cfg.a3)
         # the levels and energies trust is read from, as of step 8 of the last
         # cycle (None before the first), and until the next step 8 the trust
         # values, verdicts and row latency scores read from them so far
@@ -195,7 +196,8 @@ class Simulation:
         # the forwarding sweep's heap of (level, id), filled by run_cycle and
         # added to by _transmit
         self._sweep: list[tuple[int, int]] = []
-        # one rendered line per terminal packet, when routes are logged
+        # one rendered line per terminal packet, newline included, when
+        # routes are logged
         self.route_log: list[str] = []
 
     @property
@@ -257,7 +259,7 @@ class Simulation:
         setattr(row, fate, getattr(row, fate) + 1)
         if self.log_routes:
             trail = ">".join(map(str, p.hop_trail))
-            self.route_log.append(f"{self.cycle}\t{p.id}\t{fate}\t{trail}")
+            self.route_log.append(f"{self.cycle}\t{p.id}\t{fate}\t{trail}\n")
 
     def _pick_source(self) -> int:
         alive = self._alive
@@ -470,7 +472,7 @@ class Simulation:
         levels, energies = self._trust_inputs()
         for i in range(cfg.node_count):
             yield i, node_trust(self.stats, i, self.topology.adjacency[i], levels,
-                                energies, cfg.initial_energy, cfg.a1, cfg.a2, cfg.a3,
+                                energies, cfg.initial_energy, self.trust_weights,
                                 cfg.latency_polarity, float(cfg.wc_max))
 
     def trust(self, i: int, j: int) -> float:
@@ -492,7 +494,7 @@ class Simulation:
                     cfg.latency_polarity, float(cfg.wc_max))
             ((_, _, _, _, t_ij),) = blend_links(self.stats, i, (j,), energies,
                                                 cfg.initial_energy, scores,
-                                                cfg.a1, cfg.a2, cfg.a3)
+                                                self.trust_weights)
             self._trust_read[i, j] = t_ij
         return t_ij
 

@@ -51,25 +51,26 @@ def milestone_key(pct: int) -> str:
     return f"p{pct}"
 
 
-def summary_payload(results: dict[str, list[SimMetrics]]) -> dict:
-    """Milestone grid per protocol and replicate, with replicate medians."""
+def replicate_record(metrics: SimMetrics) -> dict:
+    """One replicate's entry in summary.json: all the summary keeps of a run."""
+    return {
+        "seed": metrics.seed,
+        "cycles_run": len(metrics.cycles),
+        "termination": metrics.termination,
+        "milestones": {
+            milestone_key(p): metrics.milestones.get(p) for p in MILESTONE_PERCENTAGES
+        },
+    }
+
+
+def summary_payload(records: dict[str, list[dict]], node_count: int) -> dict:
+    """Milestone grid per protocol from its ``replicate_record``s, with
+    replicate medians."""
     protocols = {}
-    node_count = None
-    for protocol, runs in results.items():
-        replicates = []
-        for m in runs:
-            node_count = m.node_count
-            replicates.append({
-                "seed": m.seed,
-                "cycles_run": len(m.cycles),
-                "termination": m.termination,
-                "milestones": {
-                    milestone_key(p): m.milestones.get(p) for p in MILESTONE_PERCENTAGES
-                },
-            })
+    for protocol, replicates in records.items():
         medians = {
-            milestone_key(p): lower_median([m.milestones.get(p) for m in runs])
-            for p in MILESTONE_PERCENTAGES
+            key: lower_median([r["milestones"][key] for r in replicates])
+            for key in map(milestone_key, MILESTONE_PERCENTAGES)
         }
         protocols[protocol] = {
             "replicates": replicates,
@@ -82,8 +83,8 @@ def summary_payload(results: dict[str, list[SimMetrics]]) -> dict:
     }
 
 
-def summary_json_text(results: dict[str, list[SimMetrics]]) -> str:
-    return json.dumps(summary_payload(results), indent=2, sort_keys=True) + "\n"
+def summary_json_text(records: dict[str, list[dict]], node_count: int) -> str:
+    return json.dumps(summary_payload(records, node_count), indent=2, sort_keys=True) + "\n"
 
 
 def trust_dump_text(sim: Simulation) -> str:
@@ -104,5 +105,8 @@ def trust_dump_text(sim: Simulation) -> str:
 
 
 def route_dump_text(sim: Simulation) -> str:
-    """One line per packet that reached a terminal fate: cycle, id, fate, trail."""
-    return "".join(f"{line}\n" for line in sim.route_log)
+    """One line per packet that reached a terminal fate: cycle, id, fate, trail.
+
+    The lines are ``sim.route_log`` as kept, each already ending in a
+    newline, so the text is built without a second copy of them."""
+    return "".join(sim.route_log)

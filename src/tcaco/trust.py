@@ -10,7 +10,8 @@ nothing.
 when the engine commits it at the end of the cycle; every read sees
 committed evidence only. ``latency_scores`` is the one computation of a
 row's latency scores and ``blend_links`` the one computation of the other
-components and the blend. The engine reads each trust value it routes on
+components; ``blend`` is the weighted mean, under weights ``trust_weights``
+checks once per simulation. The engine reads each trust value it routes on
 through the two, from the evidence, energies and levels of the end of the
 last cycle; ``node_trust`` puts a node's whole row together from the same
 two for ``Simulation.trust_rows()``, which serves the trust dump and the
@@ -104,27 +105,42 @@ class TrustStats:
         self._pending = []
 
 
-def compute_trust(ne: float, ptr: float, pl: float,
-                  a1: float, a2: float, a3: float) -> float:
-    """Weighted mean of the three trust metrics."""
+def trust_weights(a1: float, a2: float, a3: float) -> tuple[float, float, float, float]:
+    """The weights ``(a1, a2, a3, a1 + a2 + a3)`` the blend divides by,
+    checked once: zero weights raise, and weights so small that their
+    products would underflow are scaled up by a power of two, which is exact
+    and leaves the mean unchanged."""
     total = a1 + a2 + a3
     if total == 0:
         raise ZeroWeights("a1 + a2 + a3 must be positive")
     if total < 1e-300:
-        # products with weights this small underflow; a power of two scales exactly
         a1, a2, a3 = a1 * 2.0 ** 1000, a2 * 2.0 ** 1000, a3 * 2.0 ** 1000
         total = a1 + a2 + a3
+    return a1, a2, a3, total
+
+
+def blend(ne: float, ptr: float, pl: float,
+          weights: tuple[float, float, float, float]) -> float:
+    """Weighted mean of the three trust metrics under ``trust_weights``."""
+    a1, a2, a3, total = weights
     return (a1 * ne + a2 * ptr + a3 * pl) / total
+
+
+def compute_trust(ne: float, ptr: float, pl: float,
+                  a1: float, a2: float, a3: float) -> float:
+    """Weighted mean of the three trust metrics."""
+    return blend(ne, ptr, pl, trust_weights(a1, a2, a3))
 
 
 def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
                 energies: Sequence[float], e_init: float, scores: dict,
-                a1: float, a2: float, a3: float,
+                weights: tuple[float, float, float, float],
                 ) -> list[tuple[int, float, float, float, float]]:
     """Trust components ``(j, ne, ptr, pl, t_ij)`` of the links (i, j), j in
     ``cols``. ``energies`` is indexed by endpoint id, the sink included;
     ``scores`` holds the latency score of each neighbor of i with latency
-    evidence, and any other scores the neutral 1.0."""
+    evidence, and any other scores the neutral 1.0; ``weights`` come from
+    ``trust_weights``."""
     e_i = energies[i]
     rows = []
     for j in cols:
@@ -132,7 +148,7 @@ def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
         ne = ((e_i + energies[j]) / 2.0) / e_init
         ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
         pl = scores.get(j, 1.0)
-        rows.append((j, ne, ptr, pl, compute_trust(ne, ptr, pl, a1, a2, a3)))
+        rows.append((j, ne, ptr, pl, blend(ne, ptr, pl, weights)))
     return rows
 
 
@@ -179,12 +195,12 @@ def latency_scores(stats: TrustStats, i: int, neighbors: Sequence[int],
 
 def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
                levels: Sequence, energies: Sequence[float], e_init: float,
-               a1: float, a2: float, a3: float, polarity: str,
+               weights: tuple[float, float, float, float], polarity: str,
                reference: float) -> list[tuple[int, float, float, float, float]]:
     """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
 
     ``levels`` and ``energies`` are indexed by endpoint id, the sink
-    included.
+    included; ``weights`` come from ``trust_weights``.
     """
     scores = latency_scores(stats, i, neighbors, levels, polarity, reference)
-    return blend_links(stats, i, neighbors, energies, e_init, scores, a1, a2, a3)
+    return blend_links(stats, i, neighbors, energies, e_init, scores, weights)

@@ -24,7 +24,8 @@ from tcaco.cli import build_parser, load_experiment
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.congestion import FlowHistory
 from tcaco.engine import MILESTONE_PERCENTAGES, run_simulation
-from tcaco.output import lower_median, per_cycle_csv_text, summary_json_text
+from tcaco.output import (lower_median, per_cycle_csv_text, replicate_record,
+                          summary_json_text)
 from tcaco.routing import PheromoneTable, transition_probabilities, trust_congestion_metric
 from tcaco.trust import compute_trust
 
@@ -255,9 +256,16 @@ def csv_digests(results):
             for protocol, runs in results.items() for m in runs]
 
 
+def summary_text(results):
+    """summary.json of the lifetime runs ``results``, rendered as the CLI does."""
+    records = {protocol: [replicate_record(m) for m in runs]
+               for protocol, runs in results.items()}
+    return summary_json_text(records, lifetime_spec().config.node_count)
+
+
 def lifetime_golden_texts(results):
     """Golden path -> its text for the lifetime runs ``results``."""
-    return {LIFETIME_SUMMARY: summary_json_text(results),
+    return {LIFETIME_SUMMARY: summary_text(results),
             LIFETIME_CSV_SHA256: json.dumps(csv_digests(results), indent=1) + "\n"}
 
 
@@ -268,7 +276,7 @@ def read_text(path):
 
 def test_lifetime_summary_matches_golden(lifetime_results):
     results, _ = lifetime_results
-    assert summary_json_text(results) == read_text(LIFETIME_SUMMARY)
+    assert summary_text(results) == read_text(LIFETIME_SUMMARY)
 
 
 def test_lifetime_csv_digests_match_golden(lifetime_results):

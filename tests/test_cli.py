@@ -2,15 +2,17 @@
 
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from tcaco import cli
 from tcaco.cli import build_parser, load_experiment, main, run_experiment
 from tcaco.config import ConfigError, ParseError
 from tcaco.engine import CycleStats, SimMetrics, Simulation
 from tcaco.output import (CSV_HEADER, lower_median, per_cycle_csv_text,
-                          summary_payload, trust_dump_text)
+                          replicate_record, summary_payload, trust_dump_text)
 
 LIFETIME_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                "lifetime_experiment.json")
@@ -22,6 +24,22 @@ SMALL = {
     "packets_per_round": 5,
     "max_cycles": 15,
     "base_seed": 3,
+}
+
+ALL_EMITS = ["per-cycle", "summary", "trust", "routes"]
+
+# queue churn with every output: the route log makes most of a job's artifacts
+STORM = {
+    "node_count": 40,
+    "source_policy": "random_per_round",
+    "forwarding_mode": "stochastic_roulette",
+    "packets_per_round": 60,
+    "max_cycles": 60,
+    "protocols": ["dist_aco"],
+    "base_seed": 1,
+    "fault_spec": [{"behavior": "flood", "fraction": 0.05, "rate": 4},
+                   {"behavior": "duplicate", "fraction": 0.05, "copies": 3}],
+    "emit": ALL_EMITS,
 }
 
 
@@ -125,7 +143,8 @@ class TestRunExperiment:
     def test_worker_pool_matches_serial_output(self, tmp_path):
         serial_out = tmp_path / "serial"
         pool_out = tmp_path / "pool"
-        base = dict(SMALL, protocols=["tc_aco", "naive_minhop"], replicates=2)
+        base = dict(SMALL, protocols=["tc_aco", "naive_minhop"], replicates=2,
+                    emit=ALL_EMITS)
         spec_serial = load_experiment(
             write_cfg(tmp_path, dict(base, out_dir=str(serial_out)), "a.json"),
             parse_args([]))
@@ -136,12 +155,12 @@ class TestRunExperiment:
         assert run_experiment(spec_pool) == 0
         serial_files = {p.name: p.read_bytes() for p in serial_out.iterdir()}
         pool_files = {p.name: p.read_bytes() for p in pool_out.iterdir()}
+        assert len(serial_files) == 4 * 3 + 1
         assert serial_files == pool_files
 
     def test_trust_and_route_dumps_emitted(self, tmp_path):
         out = tmp_path / "out"
-        payload = dict(SMALL, out_dir=str(out),
-                       emit=["per-cycle", "summary", "trust", "routes"])
+        payload = dict(SMALL, out_dir=str(out), emit=ALL_EMITS)
         spec = load_experiment(write_cfg(tmp_path, payload), parse_args([]))
         assert run_experiment(spec) == 0
         trust = (out / "tc_aco_rep0_trust.csv").read_text()
@@ -173,6 +192,66 @@ class TestRunExperiment:
         written = sorted(p.name for p in out.iterdir())
         assert written == ["dist_aco_rep0.csv", "dist_aco_rep2.csv", "tc_aco_rep0.csv",
                            "tc_aco_rep1.csv", "tc_aco_rep2.csv"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_write_error_stops_the_experiment(self, tmp_path, monkeypatch, capsys,
+                                              workers):
+        """A CSV write that fails at the second job ends the run with exit
+        code 3 at once: the first job's files stay, no later job's file and
+        no summary.json are written, serially no later job runs, and a pool
+        cancels the jobs it has not started."""
+        write_text = cli._write_text
+        ran, shutdowns = [], []
+
+        def failing_write(path, text):
+            if path.endswith("tc_aco_rep1.csv"):
+                raise OSError("disk full")
+            write_text(path, text)
+
+        class Pool(cli.ProcessPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        run_one = cli._run_one
+        monkeypatch.setattr(cli, "_write_text", failing_write)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        if workers == "1":      # a pool's jobs are pickled by name
+            monkeypatch.setattr(cli, "_run_one",
+                                lambda job: ran.append(job[2]) or run_one(job))
+        out = tmp_path / "out"
+        payload = dict(SMALL, protocols=["tc_aco", "naive_minhop"], replicates=3,
+                       out_dir=str(out))
+        spec = load_experiment(write_cfg(tmp_path, payload), parse_args(["--workers", workers]))
+        assert run_experiment(spec) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["tc_aco_rep0.csv"]
+        if workers == "1":
+            assert ran == [3, 4] and shutdowns == []
+        else:
+            assert shutdowns[0] is True
+
+    def test_memory_does_not_grow_with_replicate_count(self, tmp_path):
+        """Each replicate's files are written when it ends and only its
+        summary record is kept, so four replicates peak no higher than one."""
+        def peak(replicates):
+            payload = dict(STORM, replicates=replicates,
+                           out_dir=str(tmp_path / f"out{replicates}"))
+            spec = load_experiment(write_cfg(tmp_path, payload, f"{replicates}.json"),
+                                   parse_args([]))
+            tracemalloc.start()
+            try:
+                assert run_experiment(spec) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one-time allocations of a first run would inflate the base
+        run_experiment(load_experiment(
+            write_cfg(tmp_path, dict(STORM, out_dir=str(tmp_path / "warm")), "warm.json"),
+            parse_args([])))
+        one, four = peak(1), peak(4)
+        assert four <= 1.15 * one, f"{one // 1024} KiB at 1 replicate, {four // 1024} at 4"
 
     def test_unusable_out_dir_exits_3_without_summary(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -280,12 +359,13 @@ def fake_metrics(protocol, seed, milestones):
 
 class TestSummaryShape:
     def test_grid_and_medians(self):
-        results = {
-            "tc_aco": [fake_metrics("tc_aco", 1, {1: 10, 10: 20, 30: 50}),
-                       fake_metrics("tc_aco", 2, {1: 14, 10: 24, 30: 60}),
-                       fake_metrics("tc_aco", 3, {1: 12, 10: 22, 30: 55})],
+        records = {
+            "tc_aco": [replicate_record(fake_metrics("tc_aco", 1, {1: 10, 10: 20, 30: 50})),
+                       replicate_record(fake_metrics("tc_aco", 2, {1: 14, 10: 24, 30: 60})),
+                       replicate_record(fake_metrics("tc_aco", 3, {1: 12, 10: 22, 30: 55}))],
         }
-        payload = summary_payload(results)
+        payload = summary_payload(records, 50)
+        assert payload["node_count"] == 50
         block = payload["protocols"]["tc_aco"]
         assert len(block["replicates"]) == 3
         assert block["median_milestones"]["p1"] == 12

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, ZeroWeights,
-                         compute_trust, node_trust)
+                         compute_trust, node_trust, trust_weights)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -301,7 +301,7 @@ def test_drop_all_link_converges_untrusted():
             stats.record_latency(0, 1, math.inf)
         stats.commit()
         for j, _, _, _, t_ij in node_trust(stats, 0, [1, 2], levels, energies,
-                                           1.0, 1, 1, 1, "normalized", 3.0):
+                                           1.0, trust_weights(1, 1, 1), "normalized", 3.0):
             table[(0, j)] = t_ij
     assert packet_transmission_ratio(stats, 0, 1) == 0.0
     assert table[(0, 1)] < 0.5
