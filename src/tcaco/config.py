@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -129,7 +130,7 @@ def collect_violations(cfg: SimConfig) -> list[str]:
     """Return every constraint violated by ``cfg`` (empty list when valid)."""
     v: list[str] = []
     for name in ("a1", "a2", "a3", "alpha", "beta1", "beta2", "beta3", "rho",
-                 "ack_size_fraction"):
+                 "ack_size_fraction", "trust_threshold"):
         _check_unit(name, getattr(cfg, name), v)
     if cfg.a1 + cfg.a2 + cfg.a3 <= 0:
         v.append("trust weights a1+a2+a3 must be positive")
@@ -137,6 +138,8 @@ def collect_violations(cfg: SimConfig) -> list[str]:
         v.append("tau_init must be positive")
     if cfg.tau_floor <= 0:
         v.append("tau_floor must be positive")
+    if cfg.pheromone_deposit_scale < 0:
+        v.append("pheromone_deposit_scale must be >= 0")
     if cfg.node_count < 2:
         v.append("node_count must be >= 2")
     if cfg.queue_capacity < 1:
@@ -200,6 +203,12 @@ def collect_violations(cfg: SimConfig) -> list[str]:
             v.append(f"{tag}: rate must be >= 0")
         if f.extra < 0:
             v.append(f"{tag}: extra must be >= 0")
+    # a node takes one behaviour: an id listed twice would silently take
+    # the last entry's
+    listed = Counter(k for f in cfg.fault_spec if f.nodes is not None for k in f.nodes)
+    repeated = sorted(k for k, count in listed.items() if count > 1)
+    if repeated:
+        v.append(f"fault_spec: node ids {repeated} listed more than once")
     return v
 
 

@@ -26,8 +26,8 @@ from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
                       select_next_hop, transition_probabilities,
                       trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
-from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, blend_links,
-                    latency_scores, node_trust, trust_weights)
+from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, latency_scores,
+                    link_trust, node_trust, trust_weights)
 
 
 class SourceDead(RuntimeError):
@@ -290,7 +290,8 @@ class Simulation:
         self._levels_source = source
 
     def _scored_candidates(self, i: int, level_i: int):
-        """Valid next hops for node i with (id, tc, d, tau) scoring inputs."""
+        """Valid next hops for node i with (id, tc, d, tau) scoring inputs;
+        each candidate's trust is read once."""
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
         levels = self.levels.levels
@@ -300,15 +301,17 @@ class Simulation:
         for j in self.topology.adjacency[i]:
             if j == self.bs:
                 ci_j = 0.0
+                t_ij = self.trust(i, j) if use_tcm else 1.0
             else:
                 if levels[j] != level_i + 1:
                     continue
-                if self.trust_filter and (not self.trust(i, j) > th or self.malicious(j)):
+                t_ij = self.trust(i, j) if self.needs_trust else 1.0
+                if self.trust_filter and (not t_ij > th or self.malicious(j)):
                     continue
                 # flow rows change only at the end of a cycle; only tc_aco
                 # scores congestion, and its trust filter has passed j
                 ci_j = self.flow.congestion_index(j) if use_tcm else 0.0
-            tc = trust_congestion_metric(self.trust(i, j), ci_j, cfg.alpha,
+            tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = taus[j] if taus is not None else 1.0
             out.append((j, tc, self.topology.distances[i][j], tau))
@@ -490,32 +493,28 @@ class Simulation:
             scores = self._row_scores.get(i)
             if scores is None:
                 scores = self._row_scores[i] = latency_scores(
-                    self.stats, i, self.topology.adjacency[i], levels,
-                    cfg.latency_polarity, float(cfg.wc_max))
-            ((_, _, _, _, t_ij),) = blend_links(self.stats, i, (j,), energies,
-                                                cfg.initial_energy, scores,
-                                                self.trust_weights)
-            self._trust_read[i, j] = t_ij
+                    self.stats, i, levels, cfg.latency_polarity, float(cfg.wc_max))
+            t_ij = self._trust_read[i, j] = link_trust(
+                self.stats, i, j, energies, cfg.initial_energy, scores.get(j, 1.0),
+                self.trust_weights)[2]
         return t_ij
 
     def malicious(self, j: int) -> bool:
         """Verdict on node j: some node has sent to it, and none of those
-        senders' links to it is trustworthy. The walk over its senders stops
-        at the first trustworthy link; after the first snapshot each node is
-        walked at most once per cycle."""
+        senders' links to it is trustworthy. The walk covers j's senders
+        only (``TrustStats.senders``) and stops at the first trustworthy
+        link; after the first snapshot each node is walked at most once per
+        cycle."""
         verdict = self._verdict_read.get(j)
         if verdict is not None:
             return verdict
         th = self.cfg.trust_threshold
-        stats = self.stats
-        verdict = False
-        # links are symmetric, so j's senders are among its neighbours
-        for k in self.topology.adjacency[j]:
-            if stats.link(k, j).packets_sent:
-                if self.trust(k, j) > th:
-                    verdict = False
-                    break
-                verdict = True
+        senders = self.stats.senders.get(j, ())
+        verdict = bool(senders)
+        for k in senders:
+            if self.trust(k, j) > th:
+                verdict = False
+                break
         if self._snapshot is not None:
             self._verdict_read[j] = verdict
         return verdict

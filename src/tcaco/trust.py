@@ -8,13 +8,17 @@ nothing.
 
 ``TrustStats`` buffers a cycle's evidence as it is recorded and applies it
 when the engine commits it at the end of the cycle; every read sees
-committed evidence only. ``latency_scores`` is the one computation of a
-row's latency scores and ``blend_links`` the one computation of the other
-components; ``blend`` is the weighted mean, under weights ``trust_weights``
-checks once per simulation. The engine reads each trust value it routes on
-through the two, from the evidence, energies and levels of the end of the
-last cycle; ``node_trust`` puts a node's whole row together from the same
-two for ``Simulation.trust_rows()``, which serves the trust dump and the
+committed evidence only. As it commits, it indexes each node's senders and
+each node's timed receivers (the links with latency evidence), so a read
+walks only links with evidence, never a whole neighbour row.
+``latency_scores`` is the one computation of a row's latency scores, over
+its timed receivers, and ``link_trust`` the one computation of a link's
+other components and its blend; ``blend`` is the weighted mean, under
+weights ``trust_weights`` checks once per simulation. The engine reads each
+trust value it routes on through the two, from the evidence, energies and
+levels of the end of the last cycle; ``node_trust`` puts a node's whole row
+together from the same two (``blend_links`` maps ``link_trust`` over the
+row) for ``Simulation.trust_rows()``, which serves the trust dump and the
 tests. The tests hold independent per-link references for the three
 metrics and the full node verdict, and compare ``node_trust`` and the
 engine against them.
@@ -23,6 +27,7 @@ engine against them.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Iterable, Sequence
 
 TRUSTWORTHY = "trustworthy"
@@ -66,11 +71,19 @@ class TrustStats:
     The ``record_*`` calls buffer their evidence in the order it arrives;
     ``commit`` applies the buffer, and ``link`` reads committed evidence
     only. Only evidence creates a link's record; reading a link without any
-    stores nothing."""
+    stores nothing.
+
+    ``commit`` also keeps two indexes of the committed evidence, with an
+    entry only for a node that has one: ``senders[j]`` lists each k whose
+    link k->j has a send, in the order of their first sends, and
+    ``timed[i]`` each j whose link i->j has a latency sample, in ascending
+    id order."""
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
         self._pending: list[tuple[int, int, int, float]] = []
+        self.senders: dict[int, list[int]] = {}
+        self.timed: dict[int, list[int]] = {}
 
     def link(self, i: int, j: int) -> LinkStats:
         return self._links.get((i, j), _NO_EVIDENCE)
@@ -88,18 +101,22 @@ class TrustStats:
 
     def commit(self) -> None:
         """Apply the buffered evidence in the order it was recorded."""
-        links = self._links
+        links, senders, timed = self._links, self.senders, self.timed
         for kind, i, j, value in self._pending:
             s = links.get((i, j))
             if s is None:
                 s = links[(i, j)] = LinkStats()
             if kind == _SEND:
+                if not s.packets_sent:
+                    senders.setdefault(j, []).append(i)
                 s.packets_sent += 1
             elif kind == _ACK:
                 s.acks_received += 1
                 if s.acks_received > s.packets_sent:
                     raise RuntimeError(f"more acks than sends on link {i}->{j}")
             else:
+                if not s.latency_count:
+                    insort(timed.setdefault(i, []), j)
                 s.latency_count += 1
                 s.latency_sum += value
         self._pending = []
@@ -132,42 +149,54 @@ def compute_trust(ne: float, ptr: float, pl: float,
     return blend(ne, ptr, pl, trust_weights(a1, a2, a3))
 
 
+def link_trust(stats: TrustStats, i: int, j: int, energies: Sequence[float],
+               e_init: float, pl: float, weights: tuple[float, float, float, float],
+               ) -> tuple[float, float, float]:
+    """Trust components ``(ne, ptr, t_ij)`` of the link (i, j) with latency
+    score ``pl``. ``energies`` is indexed by endpoint id, the sink included;
+    ``weights`` come from ``trust_weights``."""
+    link = stats.link(i, j)
+    ne = ((energies[i] + energies[j]) / 2.0) / e_init
+    ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
+    return ne, ptr, blend(ne, ptr, pl, weights)
+
+
 def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
                 energies: Sequence[float], e_init: float, scores: dict,
                 weights: tuple[float, float, float, float],
                 ) -> list[tuple[int, float, float, float, float]]:
     """Trust components ``(j, ne, ptr, pl, t_ij)`` of the links (i, j), j in
-    ``cols``. ``energies`` is indexed by endpoint id, the sink included;
-    ``scores`` holds the latency score of each neighbor of i with latency
-    evidence, and any other scores the neutral 1.0; ``weights`` come from
-    ``trust_weights``."""
-    e_i = energies[i]
+    ``cols``, by ``link_trust``. ``scores`` holds the latency score of each
+    neighbor of i with latency evidence, and any other scores the neutral
+    1.0."""
     rows = []
     for j in cols:
-        link = stats.link(i, j)
-        ne = ((e_i + energies[j]) / 2.0) / e_init
-        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
         pl = scores.get(j, 1.0)
-        rows.append((j, ne, ptr, pl, blend(ne, ptr, pl, weights)))
+        ne, ptr, t_ij = link_trust(stats, i, j, energies, e_init, pl, weights)
+        rows.append((j, ne, ptr, pl, t_ij))
     return rows
 
 
-def latency_scores(stats: TrustStats, i: int, neighbors: Sequence[int],
-                   levels: Sequence, polarity: str, reference: float,
-                   ) -> dict[int, float]:
-    """Latency score of each neighbor j of i with latency evidence on (i, j).
+def latency_scores(stats: TrustStats, i: int, levels: Sequence, polarity: str,
+                   reference: float) -> dict[int, float]:
+    """Latency score of each neighbor j of i with latency evidence on (i, j):
+    those of ``stats.timed[i]``, the only ones walked.
 
     ``levels`` is indexed by endpoint id, the sink included. Each mean
     latency is compared against the mean of the others on its level: the
-    means are summed once per level, in ``neighbors`` order, and its own
-    term is taken back out. Without such peers, ``reference`` (a nominal
+    means are summed once per level, in ascending id order (the order of
+    an adjacency row, where the sink, id n, comes last), and its own term
+    is taken back out. Without such peers, ``reference`` (a nominal
     comparison latency) stands in for their mean. Normalized polarity
     rewards nodes faster than their peers, capped at 1, and scores an
     unbounded mean latency (transfers that never completed) 0 outright;
     literal polarity returns the raw slow/fast ratio clamped to [0,1].
     """
-    timed = [(j, s.mean_latency(), levels[j]) for j in neighbors
-             if (s := stats.link(i, j)).latency_count]
+    cols = stats.timed.get(i)
+    if cols is None:
+        return {}
+    links = stats._links
+    timed = [(j, links[i, j].mean_latency(), levels[j]) for j in cols]
     group_sum: dict = {}
     group_cnt: dict = {}
     for _, m, lvl in timed:
@@ -202,5 +231,5 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
     ``levels`` and ``energies`` are indexed by endpoint id, the sink
     included; ``weights`` come from ``trust_weights``.
     """
-    scores = latency_scores(stats, i, neighbors, levels, polarity, reference)
+    scores = latency_scores(stats, i, levels, polarity, reference)
     return blend_links(stats, i, neighbors, energies, e_init, scores, weights)

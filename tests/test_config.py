@@ -64,6 +64,43 @@ def test_fault_spec_validation():
     assert any("out of range" in v for v in collect_violations(bad))
 
 
+@pytest.mark.parametrize("value", [-0.1, 1.5, 2.0])
+def test_trust_threshold_outside_the_unit_interval_rejected(value):
+    # trust is a weighted mean of values in [0,1]: no link reads above 1.0
+    with pytest.raises(ConfigError) as exc:
+        validate_config(SimConfig(trust_threshold=value))
+    assert any("trust_threshold" in v for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_trust_threshold_at_the_unit_interval_ends_accepted(value):
+    assert collect_violations(SimConfig(trust_threshold=value)) == []
+
+
+def test_negative_deposit_scale_rejected():
+    # a negative scale would turn each deposit into a removal
+    with pytest.raises(ConfigError) as exc:
+        validate_config(SimConfig(pheromone_deposit_scale=-5.0))
+    assert any("pheromone_deposit_scale" in v for v in exc.value.violations)
+    assert collect_violations(SimConfig(pheromone_deposit_scale=0.0)) == []
+
+
+def test_node_listed_in_two_fault_entries_rejected():
+    cfg = config_from_dict({"fault_spec": [
+        {"behavior": "drop", "nodes": [3, 3, 5]},
+        {"behavior": "delay", "nodes": [3, 4]},
+        {"behavior": "flood", "nodes": [5, 6]},
+    ]})
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert exc.value.violations == ["fault_spec: node ids [3, 5] listed more than once"]
+
+
+def test_node_listed_twice_in_one_fault_entry_rejected():
+    cfg = SimConfig(fault_spec=(FaultSpec(behavior="drop", nodes=(3, 3)),))
+    assert any("[3]" in v for v in collect_violations(cfg))
+
+
 def test_minimal_file_gives_standard_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{}")

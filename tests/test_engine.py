@@ -19,7 +19,7 @@ from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.routing import live_adjacency
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, blend_links, compute_trust
+from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, compute_trust, link_trust
 import random
 
 from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
@@ -675,12 +675,11 @@ class TestIncrementalTrust:
         cfg = sim.cfg
         blended = []
 
-        def recording(stats, i, cols, *args):
-            rows = blend_links(stats, i, cols, *args)
-            blended.extend((i, j) for j, *_ in rows)
-            return rows
+        def recording(stats, i, j, *args):
+            blended.append((i, j))
+            return link_trust(stats, i, j, *args)
 
-        with mock.patch("tcaco.engine.blend_links", recording):
+        with mock.patch("tcaco.engine.link_trust", recording):
             while sim.cycle < cfg.max_cycles:
                 try:
                     sim.run_cycle()

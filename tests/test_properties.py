@@ -69,6 +69,30 @@ def test_random_run_keeps_its_invariants(cfg, protocol):
     assert fates == Counter({fate: totals[fate] for fate in TERMINAL_FATES})
 
 
+@settings(max_examples=60, deadline=None)
+@given(configs, st.sampled_from(PROTOCOLS))
+def test_evidence_indexes_equal_a_scan_of_the_links(cfg, protocol):
+    """After every cycle ``senders[j]`` holds, in any order and once each,
+    the neighbours k whose link k->j has a committed send, and ``timed[i]``
+    holds, in adjacency order, the neighbours j whose link i->j has a
+    committed latency sample."""
+    try:
+        sim = Simulation(cfg, protocol=protocol)
+    except DisconnectedNetwork:
+        assume(False)
+    stats, adjacency = sim.stats, sim.topology.adjacency
+    while sim.cycle < cfg.max_cycles:
+        try:
+            sim.run_cycle()
+        except (SourceDead, DisconnectedNetwork):
+            break
+        for j, row in enumerate(adjacency):
+            senders = [k for k in row if stats.link(k, j).packets_sent]
+            timed = [k for k in row if stats.link(j, k).latency_count]
+            assert sorted(stats.senders.get(j, ())) == senders, (sim.cycle, j)
+            assert stats.timed.get(j, []) == timed, (sim.cycle, j)
+
+
 @settings(max_examples=100, deadline=None)
 @given(configs.map(lambda cfg: replace(cfg, source_policy="random_per_round")),
        st.sampled_from(["tc_aco", "trust_greedy"]))

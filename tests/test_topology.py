@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaco import topology
-from tcaco.config import SimConfig
+from tcaco import engine, topology
+from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import Simulation, deploy_nodes
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
 from tcaco.topology import (DisconnectedNetwork, Topology, build_topology,
                             euclidean_distance)
+from tcaco.trust import TrustStats
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 point = st.tuples(coord, coord)
@@ -178,6 +179,39 @@ def test_measures_a_bounded_share_of_pairs(monkeypatch):
     links = sum(map(len, topo.adjacency)) // 2
     assert links > 5 * n
     assert calls <= 4 * links
+
+
+def test_trust_reads_walk_a_bounded_number_of_links(monkeypatch):
+    """A scale-shaped tc_aco run (n=800 at the shipped density, rotating
+    source, drop faults) looks up at most two link records per link it
+    blends: the verdict walks only a node's senders and the latency scores
+    only a row's timed links, where walking whole neighbour rows looked up
+    about 13 per blend."""
+    n = 800
+    side = 200.0 * math.sqrt(n / 50)
+    cfg = SimConfig(node_count=n, field_width=side, field_height=side,
+                    source_policy="random_per_round", max_cycles=100,
+                    fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
+    lookups = blends = 0
+    link, link_trust = TrustStats.link, engine.link_trust
+
+    def counted_link(self, i, j):
+        nonlocal lookups
+        lookups += 1
+        return link(self, i, j)
+
+    def counted_blend(*args):
+        nonlocal blends
+        blends += 1
+        return link_trust(*args)
+
+    monkeypatch.setattr(TrustStats, "link", counted_link)
+    monkeypatch.setattr(engine, "link_trust", counted_blend)
+    sim = Simulation(cfg, protocol="tc_aco", seed=1)
+    sim.run()
+    assert sim.cycle == 100
+    assert blends > 5000
+    assert lookups <= 2 * blends
 
 
 def test_neighbor_distances_symmetric():
