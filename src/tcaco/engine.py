@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import energy as radio
@@ -164,10 +165,13 @@ class Simulation:
 
         self.stats = TrustStats()
         self.trust_weights = trust_weights(cfg.a1, cfg.a2, cfg.a3)
-        # the levels and energies trust is read from, as of step 8 of the last
-        # cycle (None before the first), and until the next step 8 the trust
-        # values, verdicts and row latency scores read from them so far
-        self._snapshot: Optional[tuple[list, list[float]]] = None
+        # the levels and energies, indexed by endpoint id with the sink last,
+        # that trust is read from: as of step 8 of the last cycle, and before
+        # the first no levels and full batteries, so every link reads 1.0.
+        # Until the next step 8, the trust values, verdicts and row latency
+        # scores read from them so far
+        self._snapshot: tuple[list, list[float]] = (
+            [None] * (n + 1), [cfg.initial_energy] * (n + 1))
         self._trust_read: dict[tuple[int, int], float] = {}
         self._verdict_read: dict[int, bool] = {}
         self._row_scores: dict[int, dict[int, float]] = {}
@@ -179,10 +183,9 @@ class Simulation:
         self._next_pid = 0
         # transmit flags and the dead count, derived from ``energy`` at the
         # first cycle and then kept up to date from the nodes each cycle
-        # debits (``_spent``); energy only ever goes down
+        # debits; energy only ever goes down
         self._alive: Optional[list[bool]] = None
         self._dead_count = 0
-        self._spent: set[int] = set()
         # live_adjacency of the alive nodes, rebuilt when a death is recorded
         self._live: list[Optional[list[int]]] = []
         # packets generated and not yet ended, and the nodes whose queue
@@ -220,10 +223,14 @@ class Simulation:
 
         Under a fixed source policy the source is protected from fault
         assignment; under per-round sources the protection is inverted and
-        fault nodes are simply never drawn as sources.
+        fault nodes are simply never drawn as sources. A node that any entry
+        lists by id is left out of every fraction's pool, so each entry
+        keeps all the nodes it asks for.
         """
         cfg = self.cfg
         protected = {self.fixed_source} if cfg.source_policy == "fixed" else set()
+        listed = {t for entry in cfg.fault_spec if entry.nodes is not None
+                  for t in entry.nodes}
         assigned: dict[int, FaultSpec] = {}
         for entry in cfg.fault_spec:
             if entry.behavior == "honest":
@@ -234,7 +241,8 @@ class Simulation:
                 if bad:
                     raise ValueError(f"fault assigned to the source node {bad}")
             else:
-                pool = sorted(set(range(cfg.node_count)) - protected - set(assigned))
+                pool = sorted(set(range(cfg.node_count)) - protected - listed
+                              - set(assigned))
                 count = min(int(round(entry.fraction * cfg.node_count)), len(pool))
                 targets = self.rng.sample(pool, count)
             for t in targets:
@@ -343,7 +351,6 @@ class Simulation:
         radio.debit(self.energy, i, radio.tx_cost(self.packet_bits, d, cfg))
         sent = self._sent_now.setdefault(i, {})
         sent[j] = sent.get(j, 0) + 1
-        self._spent.add(i)
         self.stats.record_send(i, j)
 
         if j == self.bs:
@@ -361,7 +368,6 @@ class Simulation:
 
         inflow = self._inflow_now
         inflow[j] = inflow.get(j, 0) + 1
-        self._spent.add(j)
         behavior = self.faults.get(j)
         if behavior is not None:
             self._row.forwarded_to_malicious += 1
@@ -456,23 +462,12 @@ class Simulation:
                     # the holder sat on this packet until it died
                     self.stats.record_latency(trail[-2], trail[-1], self.latency_penalty)
 
-    def _trust_inputs(self) -> tuple[list, list[float]]:
-        """Current levels and energies indexed by endpoint id, sink included."""
-        cfg = self.cfg
-        if self.levels is None:
-            levels = [None] * (cfg.node_count + 1)
-        else:
-            levels = [*self.levels.levels, self.levels.bs_level]
-        # the sink is energy-unbounded
-        return levels, [*self.energy, cfg.initial_energy]
-
     def trust_rows(self):
         """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
-        from the committed evidence and the current energies and levels: the
-        full computation. After a cycle of a protocol that reads trust it
-        holds the values ``trust`` reads until the next step 8."""
+        from the committed evidence and the snapshot ``trust`` reads: the
+        full computation of the values ``trust`` reads until the next step 8."""
         cfg = self.cfg
-        levels, energies = self._trust_inputs()
+        levels, energies = self._snapshot
         for i in range(cfg.node_count):
             yield i, node_trust(self.stats, i, self.topology.adjacency[i], levels,
                                 energies, cfg.initial_energy, self.trust_weights,
@@ -480,14 +475,11 @@ class Simulation:
 
     def trust(self, i: int, j: int) -> float:
         """Trust of i upon j from the committed evidence and the levels and
-        energies of step 8 of the last cycle; 1.0 before the first snapshot,
-        and always for the protocols that read no trust. Each link is
-        blended at most once per cycle, each row's latency scores derived at
-        most once."""
+        energies of step 8 of the last cycle (1.0 before the first cycle).
+        Each link is blended at most once per cycle, each row's latency
+        scores derived at most once."""
         t_ij = self._trust_read.get((i, j))
         if t_ij is None:
-            if self._snapshot is None:
-                return 1.0
             cfg = self.cfg
             levels, energies = self._snapshot
             scores = self._row_scores.get(i)
@@ -503,8 +495,7 @@ class Simulation:
         """Verdict on node j: some node has sent to it, and none of those
         senders' links to it is trustworthy. The walk covers j's senders
         only (``TrustStats.senders``) and stops at the first trustworthy
-        link; after the first snapshot each node is walked at most once per
-        cycle."""
+        link; each node is walked at most once per cycle."""
         verdict = self._verdict_read.get(j)
         if verdict is not None:
             return verdict
@@ -515,15 +506,17 @@ class Simulation:
             if self.trust(k, j) > th:
                 verdict = False
                 break
-        if self._snapshot is not None:
-            self._verdict_read[j] = verdict
+        self._verdict_read[j] = verdict
         return verdict
 
     def _recompute_trust(self) -> None:
-        """Take the snapshot ``trust`` reads until the next step 8: the
-        levels and the energies as they stand, and drop the last cycle's
+        """Take the snapshot ``trust``, ``malicious`` and ``trust_rows`` read
+        until the next step 8: the cycle's levels and the energies as they
+        stand, the sink last and energy-unbounded, and drop the last cycle's
         reads. Nothing is blended here."""
-        self._snapshot = self._trust_inputs()
+        levels = self.levels
+        self._snapshot = ([*levels.levels, levels.bs_level],
+                          [*self.energy, self.cfg.initial_energy])
         self._trust_read.clear()
         self._verdict_read.clear()
         self._row_scores.clear()
@@ -533,11 +526,11 @@ class Simulation:
         cfg = self.cfg
         self.cycle += 1
         # the cycle in progress: its row, its packets received per node and
-        # sent per sender and receiver, and the nodes it debits
+        # sent per sender and receiver; every node it debits is a key of one
+        # of the two or a flood node
         row = self._row = CycleStats(self.cycle)
         self._inflow_now: dict[int, int] = {}
         self._sent_now: dict[int, dict[int, int]] = {}
-        spent = self._spent = set()
 
         if self._alive is None:
             self._alive = [e >= cfg.energy_threshold for e in self.energy]
@@ -571,8 +564,6 @@ class Simulation:
                 d = self.topology.distances[f_id][k]
                 radio.debit(self.energy, f_id, radio.tx_cost(self.packet_bits, d, cfg))
                 radio.debit(self.energy, k, radio.rx_cost(self.packet_bits, cfg))
-                spent.add(f_id)
-                spent.add(k)
                 self._inflow_now[k] = self._inflow_now.get(k, 0) + 1
                 if enqueue(self.queues[k], fake, self.cycle, cfg.queue_capacity):
                     occupied.add(k)
@@ -610,13 +601,12 @@ class Simulation:
         # 8. commit the cycle's evidence; the next cycle routes on the trust
         # of this moment
         self.stats.commit()
-        if self.needs_trust:
-            self._recompute_trust()
+        self._recompute_trust()
 
         # 9. deaths and metrics; a death cuts links, so the live adjacency is
         # rebuilt and the source pool and the levels are derived afresh
         dead = self._dead_count
-        for k in spent:
+        for k in chain(self._sent_now, self._inflow_now, self._flooders):
             if alive[k] and self.energy[k] < cfg.energy_threshold:
                 alive[k] = False
                 dead += 1

@@ -14,21 +14,21 @@ walks only links with evidence, never a whole neighbour row.
 ``latency_scores`` is the one computation of a row's latency scores, over
 its timed receivers, and ``link_trust`` the one computation of a link's
 other components and its blend; ``blend`` is the weighted mean, under
-weights ``trust_weights`` checks once per simulation. The engine reads each
-trust value it routes on through the two, from the evidence, energies and
-levels of the end of the last cycle; ``node_trust`` puts a node's whole row
-together from the same two (``blend_links`` maps ``link_trust`` over the
-row) for ``Simulation.trust_rows()``, which serves the trust dump and the
-tests. The tests hold independent per-link references for the three
-metrics and the full node verdict, and compare ``node_trust`` and the
-engine against them.
+weights ``trust_weights`` checks once per simulation. Every trust value is
+read from the committed evidence and one snapshot of energies and levels,
+which the engine takes at the end of every cycle for every protocol: the
+engine reads each value it routes on through the two functions, and
+``node_trust`` puts a node's whole row together from the same two for
+``Simulation.trust_rows()``, which serves the trust dump and the tests. The
+tests hold independent per-link references for the three metrics and the
+full node verdict, and compare ``node_trust`` and the engine against them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Iterable, Sequence
+from typing import Sequence
 
 TRUSTWORTHY = "trustworthy"
 UNTRUSTED = "untrusted"
@@ -161,22 +161,6 @@ def link_trust(stats: TrustStats, i: int, j: int, energies: Sequence[float],
     return ne, ptr, blend(ne, ptr, pl, weights)
 
 
-def blend_links(stats: TrustStats, i: int, cols: Iterable[int],
-                energies: Sequence[float], e_init: float, scores: dict,
-                weights: tuple[float, float, float, float],
-                ) -> list[tuple[int, float, float, float, float]]:
-    """Trust components ``(j, ne, ptr, pl, t_ij)`` of the links (i, j), j in
-    ``cols``, by ``link_trust``. ``scores`` holds the latency score of each
-    neighbor of i with latency evidence, and any other scores the neutral
-    1.0."""
-    rows = []
-    for j in cols:
-        pl = scores.get(j, 1.0)
-        ne, ptr, t_ij = link_trust(stats, i, j, energies, e_init, pl, weights)
-        rows.append((j, ne, ptr, pl, t_ij))
-    return rows
-
-
 def latency_scores(stats: TrustStats, i: int, levels: Sequence, polarity: str,
                    reference: float) -> dict[int, float]:
     """Latency score of each neighbor j of i with latency evidence on (i, j):
@@ -195,8 +179,7 @@ def latency_scores(stats: TrustStats, i: int, levels: Sequence, polarity: str,
     cols = stats.timed.get(i)
     if cols is None:
         return {}
-    links = stats._links
-    timed = [(j, links[i, j].mean_latency(), levels[j]) for j in cols]
+    timed = [(j, stats.link(i, j).mean_latency(), levels[j]) for j in cols]
     group_sum: dict = {}
     group_cnt: dict = {}
     for _, m, lvl in timed:
@@ -226,10 +209,17 @@ def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
                levels: Sequence, energies: Sequence[float], e_init: float,
                weights: tuple[float, float, float, float], polarity: str,
                reference: float) -> list[tuple[int, float, float, float, float]]:
-    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i.
+    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i,
+    by ``link_trust``; a neighbor without latency evidence scores the
+    neutral 1.0.
 
     ``levels`` and ``energies`` are indexed by endpoint id, the sink
     included; ``weights`` come from ``trust_weights``.
     """
     scores = latency_scores(stats, i, levels, polarity, reference)
-    return blend_links(stats, i, neighbors, energies, e_init, scores, weights)
+    rows = []
+    for j in neighbors:
+        pl = scores.get(j, 1.0)
+        ne, ptr, t_ij = link_trust(stats, i, j, energies, e_init, pl, weights)
+        rows.append((j, ne, ptr, pl, t_ij))
+    return rows

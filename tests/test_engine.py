@@ -311,6 +311,17 @@ class TestRovingSource:
         with pytest.raises(ValueError, match="source"):
             Simulation(cfg, positions=[(0, 0), (10, 0), (20, 0), (30, 0), (40, 0)])
 
+    def test_listed_nodes_stay_out_of_fraction_pools(self):
+        # the delay entry comes second, so the drop sample could draw node 3
+        cfg = SimConfig(node_count=20, source_policy="random_per_round",
+                        fault_spec=(FaultSpec(behavior="drop", fraction=0.5),
+                                    FaultSpec(behavior="delay", nodes=(3,))))
+        for seed in range(1, 21):
+            faults = Simulation(cfg, seed=seed).faults
+            drops = [k for k, f in faults.items() if f.behavior == "drop"]
+            assert len(drops) == 10 and 3 not in drops, seed
+            assert faults[3].behavior == "delay", seed
+
 
 class TestDeterminism:
     def test_identical_runs_bitwise(self):
@@ -655,7 +666,7 @@ class TestIncrementalTrust:
     last cycle; after every cycle each link must read as the full
     recomputation and each node's verdict as ``classify``."""
 
-    GOLDEN_CASES = [f"{protocol}_{mode}" for protocol in ("tc_aco", "trust_greedy")
+    GOLDEN_CASES = [f"{protocol}_{mode}" for protocol in PROTOCOLS
                     for mode in ("deterministic_rank", "stochastic_roulette")] + [
         "fault_drop", "fault_duplicate", "fault_flood", "fault_delay",
         "literal_polarities", "congestion_window", "fixed_source"]

@@ -95,7 +95,7 @@ def test_evidence_indexes_equal_a_scan_of_the_links(cfg, protocol):
 
 @settings(max_examples=100, deadline=None)
 @given(configs.map(lambda cfg: replace(cfg, source_policy="random_per_round")),
-       st.sampled_from(["tc_aco", "trust_greedy"]))
+       st.sampled_from(PROTOCOLS))
 def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
     """After every cycle each link's trust read on demand equals
     ``trust_rows`` and the verdict read on demand equals ``classify`` over
