@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +33,10 @@ DEFAULT_EMIT = ("per-cycle", "summary")
 # the experiment-level keys and the JSON type of each
 _EXPERIMENT_KEYS = {"protocols": list[str], "replicates": int, "seeds": Optional[list[int]],
                     "base_seed": int, "out_dir": str, "emit": list[str]}
+
+# a replicate's route file, and its name while the job writes it
+_ROUTES = "_routes.txt"
+_ROUTES_PART = _ROUTES + ".part"
 
 
 @dataclass(frozen=True)
@@ -116,14 +121,27 @@ def load_experiment(path: str | None, args: argparse.Namespace | None = None,
     )
 
 
-def _run_one(job: tuple[SimConfig, str, int, bool, bool]):
-    """Worker entry: run one replicate, return rendered artifacts."""
-    cfg, protocol, seed, want_trust, want_routes = job
+def _run_one(job: tuple[SimConfig, str, int, tuple[str, bool], bool]):
+    """Worker entry: run one replicate; return its metrics and, when asked
+    for, its trust dump text.
+
+    The job is ``(config, protocol, seed, (file stem, trust wanted), routes
+    wanted)``. With routes, the lines each cycle logs are written to
+    ``<stem>_routes.txt.part`` as the cycle ends, so the replicate holds
+    one cycle's lines at a time; ``run_experiment`` renames the file.
+    """
+    cfg, protocol, seed, (stem, want_trust), want_routes = job
     sim = Simulation(cfg, protocol=protocol, seed=seed, log_routes=want_routes)
-    metrics = sim.run()
-    trust_text = trust_dump_text(sim) if want_trust else None
-    route_text = route_dump_text(sim) if want_routes else None
-    return metrics, trust_text, route_text
+    if want_routes:
+        with open(f"{stem}{_ROUTES_PART}", "w", encoding="utf-8", newline="") as fh:
+            def write_routes(sim: Simulation) -> None:
+                fh.write(route_dump_text(sim))
+
+            metrics = sim.run(after_cycle=write_routes)
+            write_routes(sim)
+    else:
+        metrics = sim.run()
+    return metrics, trust_dump_text(sim) if want_trust else None
 
 
 def _attempt(run):
@@ -166,11 +184,15 @@ def run_experiment(spec: ExperimentSpec) -> int:
 
     Each replicate's files are written as soon as it ends, and only its
     summary record is kept, so memory holds one replicate's output at a
-    time; summary.json is written last. A failed replicate is named on
+    time; summary.json is written last. Route lines are the exception: a
+    job writes them to ``<stem>_routes.txt.part`` as each cycle ends, and
+    that file is renamed to ``<stem>_routes.txt`` in job order, when the
+    job's outcome is taken. No ``.part`` file outlives the experiment: a
+    failed or cancelled job's is removed. A failed replicate is named on
     stderr and the others still write their files; summary.json is then
-    left out and the exit code is 2. A write that fails ends the experiment
-    at once with exit code 3: no later replicate starts, the files already
-    written stay, and summary.json is not written.
+    left out and the exit code is 2. A write that fails, in a job or here,
+    ends the experiment at once with exit code 3: no later replicate starts,
+    the files already written stay, and summary.json is not written.
     """
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -185,33 +207,44 @@ def run_experiment(spec: ExperimentSpec) -> int:
     want_trust = "trust" in spec.emit
     want_routes = "routes" in spec.emit
     jobs = [
-        (spec.config, protocol, seed, want_trust, want_routes)
+        (spec.config, protocol, seed,
+         (os.path.join(spec.out_dir, f"{protocol}_rep{k}"), want_trust), want_routes)
         for protocol in spec.protocols
-        for seed in spec.seeds
+        for k, seed in enumerate(spec.seeds)
     ]
     failed = False
     records: dict[str, list[dict]] = {p: [] for p in spec.protocols}
 
     def take(job, artifacts, exc) -> None:
         nonlocal failed
-        _, protocol, seed, _, _ = job
+        _, protocol, seed, (stem, _), _ = job
+        if isinstance(exc, OSError):
+            # the engine does no I/O: the job's route file failed
+            raise exc
         if exc is not None:
             failed = True
             print(f"error: run failed ({protocol}, seed {seed}): "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return
-        metrics, trust_text, route_text = artifacts
+        metrics, trust_text = artifacts
         records[protocol].append(replicate_record(metrics))
-        stem = os.path.join(spec.out_dir, f"{protocol}_rep{spec.seeds.index(seed)}")
         if "per-cycle" in spec.emit:
             _write_text(f"{stem}.csv", per_cycle_csv_text(metrics))
         if trust_text is not None:
             _write_text(f"{stem}_trust.csv", trust_text)
-        if route_text is not None:
-            _write_text(f"{stem}_routes.txt", route_text)
+        if want_routes:
+            os.replace(f"{stem}{_ROUTES_PART}", f"{stem}{_ROUTES}")
 
     try:
-        _run_jobs(jobs, spec.workers, take)
+        try:
+            _run_jobs(jobs, spec.workers, take)
+        finally:
+            if want_routes:
+                # every job has ended; what was not renamed is left from a
+                # failed or cancelled job
+                for _, _, _, (stem, _), _ in jobs:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(f"{stem}{_ROUTES_PART}")
         if failed:
             # a summary over the surviving replicates would pass for the full grid
             return 2

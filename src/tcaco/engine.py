@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
@@ -199,8 +199,8 @@ class Simulation:
         # the forwarding sweep's heap of (level, id), filled by run_cycle and
         # added to by _transmit
         self._sweep: list[tuple[int, int]] = []
-        # one rendered line per terminal packet, newline included, when
-        # routes are logged
+        # when routes are logged, one rendered line, newline included, per
+        # packet ended since ``output.route_dump_text`` last drained the log
         self.route_log: list[str] = []
 
     @property
@@ -620,8 +620,13 @@ class Simulation:
         self.metric_rows.append(row)
         return row
 
-    def run(self) -> SimMetrics:
-        """Cycle until 60% of nodes are dead, the horizon, or a dead end."""
+    def run(self, after_cycle: Optional[Callable[["Simulation"], None]] = None,
+            ) -> SimMetrics:
+        """Cycle until 60% of nodes are dead, the horizon, or a dead end.
+
+        ``after_cycle(self)``, when given, is called after each cycle that
+        completes, outside ``run_cycle``.
+        """
         cfg = self.cfg
         termination = "max_cycles"
         while self.cycle < cfg.max_cycles:
@@ -633,6 +638,8 @@ class Simulation:
             except DisconnectedNetwork:
                 termination = "sink_unreachable"
                 break
+            if after_cycle is not None:
+                after_cycle(self)
             if row.dead_nodes >= 0.6 * cfg.node_count:
                 termination = "dead_fraction"
                 break

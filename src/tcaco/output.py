@@ -105,8 +105,12 @@ def trust_dump_text(sim: Simulation) -> str:
 
 
 def route_dump_text(sim: Simulation) -> str:
-    """One line per packet that reached a terminal fate: cycle, id, fate, trail.
+    """One line per packet that reached a terminal fate since the last call:
+    cycle, id, fate, trail.
 
     The lines are ``sim.route_log`` as kept, each already ending in a
-    newline, so the text is built without a second copy of them."""
-    return "".join(sim.route_log)
+    newline; the log is emptied, so called between cycles the text is
+    one cycle's lines, and called once after a run it is the whole dump."""
+    text = "".join(sim.route_log)
+    sim.route_log.clear()
+    return text

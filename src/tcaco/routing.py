@@ -204,14 +204,21 @@ class PheromoneTable:
         skipped = self.cycles - self.stamp[i]
         if skipped:
             decay, floor = self.decay, self.tau_floor
-            for j, tau in row.items():
-                for _ in range(skipped):
-                    nxt = decay * tau
-                    if not nxt > floor:
-                        nxt = floor
-                    if nxt == tau:
-                        break
-                    tau = nxt
+            # every link replays the same count, so a start value's result
+            # serves each link that holds it (all still at tau_init or the floor)
+            replayed: dict[float, float] = {}
+            for j, start in row.items():
+                tau = replayed.get(start)
+                if tau is None:
+                    tau = start
+                    for _ in range(skipped):
+                        nxt = decay * tau
+                        if not nxt > floor:
+                            nxt = floor
+                        if nxt == tau:
+                            break
+                        tau = nxt
+                    replayed[start] = tau
                 row[j] = tau
             self.stamp[i] = self.cycles
         return row

@@ -143,12 +143,6 @@ def blend(ne: float, ptr: float, pl: float,
     return (a1 * ne + a2 * ptr + a3 * pl) / total
 
 
-def compute_trust(ne: float, ptr: float, pl: float,
-                  a1: float, a2: float, a3: float) -> float:
-    """Weighted mean of the three trust metrics."""
-    return blend(ne, ptr, pl, trust_weights(a1, a2, a3))
-
-
 def link_trust(stats: TrustStats, i: int, j: int, energies: Sequence[float],
                e_init: float, pl: float, weights: tuple[float, float, float, float],
                ) -> tuple[float, float, float]:

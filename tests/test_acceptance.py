@@ -27,7 +27,7 @@ from tcaco.engine import MILESTONE_PERCENTAGES, run_simulation
 from tcaco.output import (lower_median, per_cycle_csv_text, replicate_record,
                           summary_json_text)
 from tcaco.routing import PheromoneTable, transition_probabilities, trust_congestion_metric
-from tcaco.trust import compute_trust
+from tcaco.trust import blend, trust_weights
 
 from test_routing import one_link_step
 
@@ -60,12 +60,12 @@ def test_criterion_1_formula_conformance():
         return checks[-1]
 
     # trust blend
-    close(compute_trust(0.6, 0.8, 0.4, 1, 1, 1), 0.6)
-    close(compute_trust(1.0, 1.0, 1.0, 0.3, 0.9, 0.05), 1.0)
-    close(compute_trust(0.5, 1.0, 0.0, 1.0, 0.5, 0.5), 0.5)
-    close(compute_trust(0.2, 0.4, 0.6, 1.0, 0.5, 0.25), 0.55 / 1.75)
-    close(compute_trust(0.0, 0.0, 0.0, 1, 1, 1), 0.0)
-    close(compute_trust(0.9, 0.3, 0.7, 0.5, 1.0, 0.25), 0.925 / 1.75)
+    close(blend(0.6, 0.8, 0.4, trust_weights(1, 1, 1)), 0.6)
+    close(blend(1.0, 1.0, 1.0, trust_weights(0.3, 0.9, 0.05)), 1.0)
+    close(blend(0.5, 1.0, 0.0, trust_weights(1.0, 0.5, 0.5)), 0.5)
+    close(blend(0.2, 0.4, 0.6, trust_weights(1.0, 0.5, 0.25)), 0.55 / 1.75)
+    close(blend(0.0, 0.0, 0.0, trust_weights(1, 1, 1)), 0.0)
+    close(blend(0.9, 0.3, 0.7, trust_weights(0.5, 1.0, 0.25)), 0.925 / 1.75)
 
     # congestion index
     close(ci_case([5], [3], [1]), 0.5)

@@ -9,7 +9,7 @@ import pytest
 
 from tcaco import cli
 from tcaco.cli import build_parser, load_experiment, main, run_experiment
-from tcaco.config import ConfigError, ParseError
+from tcaco.config import ConfigError, ParseError, SimConfig, read_json_object
 from tcaco.engine import CycleStats, SimMetrics, Simulation
 from tcaco.output import (CSV_HEADER, lower_median, per_cycle_csv_text,
                           replicate_record, summary_payload, trust_dump_text)
@@ -51,6 +51,19 @@ def write_cfg(tmp_path, payload, name="exp.json"):
 
 def parse_args(argv):
     return build_parser().parse_args(argv)
+
+
+def experiment_peak(tmp_path, payload, name):
+    """tracemalloc peak of a successful ``run_experiment`` of ``payload``,
+    written to ``tmp_path / name``."""
+    path = write_cfg(tmp_path, dict(payload, out_dir=str(tmp_path / name)), f"{name}.json")
+    spec = load_experiment(path, parse_args([]))
+    tracemalloc.start()
+    try:
+        assert run_experiment(spec) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLoadExperiment:
@@ -157,6 +170,7 @@ class TestRunExperiment:
         pool_files = {p.name: p.read_bytes() for p in pool_out.iterdir()}
         assert len(serial_files) == 4 * 3 + 1
         assert serial_files == pool_files
+        assert not [name for name in pool_files if name.endswith(".part")]
 
     def test_trust_and_route_dumps_emitted(self, tmp_path):
         out = tmp_path / "out"
@@ -231,27 +245,73 @@ class TestRunExperiment:
         else:
             assert shutdowns[0] is True
 
+    def test_failed_replicate_leaves_no_route_part_file(self, tmp_path, monkeypatch):
+        """A replicate that raises after some of its route lines were
+        written gives exit code 2 and leaves neither a route file nor a
+        ``.part`` file; the other replicates' route files are written."""
+        run_cycle = Simulation.run_cycle
+
+        def failing_cycle(sim):
+            if sim.seed == 2 and sim.cycle == 30:
+                raise RuntimeError("injected failure")
+            return run_cycle(sim)
+
+        monkeypatch.setattr(Simulation, "run_cycle", failing_cycle)
+        out = tmp_path / "out"
+        spec = load_experiment(
+            write_cfg(tmp_path, dict(STORM, replicates=3, out_dir=str(out))), parse_args([]))
+        assert run_experiment(spec) == 2
+        assert sorted(p.name for p in out.glob("*routes*")) == [
+            "dist_aco_rep0_routes.txt", "dist_aco_rep2_routes.txt"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_route_write_error_stops_the_experiment(self, tmp_path, capsys, workers):
+        """A route file write that fails in the second job (its disk is
+        full) ends the run with exit code 3: the first job's files stay, no
+        later job's file and no summary.json are written, and no ``.part``
+        file is left, also of a job a pool ran beside the failed one."""
+        out = tmp_path / "out"
+        out.mkdir()
+        os.symlink("/dev/full", out / "dist_aco_rep1_routes.txt.part")
+        spec = load_experiment(
+            write_cfg(tmp_path, dict(STORM, replicates=3, out_dir=str(out))),
+            parse_args(["--workers", workers]))
+        assert run_experiment(spec) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dist_aco_rep0.csv", "dist_aco_rep0_routes.txt", "dist_aco_rep0_trust.csv"]
+
     def test_memory_does_not_grow_with_replicate_count(self, tmp_path):
         """Each replicate's files are written when it ends and only its
-        summary record is kept, so four replicates peak no higher than one."""
-        def peak(replicates):
-            payload = dict(STORM, replicates=replicates,
-                           out_dir=str(tmp_path / f"out{replicates}"))
-            spec = load_experiment(write_cfg(tmp_path, payload, f"{replicates}.json"),
-                                   parse_args([]))
-            tracemalloc.start()
-            try:
-                assert run_experiment(spec) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        summary record is kept, so four replicates peak no higher than the
+        largest of them run alone."""
+        # one-time allocations of a first run would inflate the base
+        experiment_peak(tmp_path, STORM, "warm")
+        one = max(experiment_peak(tmp_path, dict(STORM, base_seed=seed), f"seed{seed}")
+                  for seed in range(1, 5))
+        four = experiment_peak(tmp_path, dict(STORM, replicates=4), "four")
+        assert four <= 1.15 * one, f"{one // 1024} KiB at 1 replicate, {four // 1024} at 4"
+
+    def test_route_memory_does_not_grow_with_replicate_length(self, tmp_path):
+        """Route lines are written as each cycle ends, so what logging them
+        adds to a replicate's peak is the same at 250 and 1,000 cycles."""
+        shipped = read_json_object(LIFETIME_CONFIG)
+        del shipped["replicates"]
+        base = dict(shipped, protocols=["naive_minhop"], seeds=[1],
+                    initial_energy=20 * SimConfig().initial_energy)
+        no_routes, routes = ["per-cycle", "summary"], ["per-cycle", "summary", "routes"]
+
+        def added(cycles):
+            peaks = [experiment_peak(tmp_path, dict(base, max_cycles=cycles, emit=emit),
+                                     f"{cycles}_{len(emit)}") for emit in (no_routes, routes)]
+            summary = json.loads((tmp_path / f"{cycles}_3" / "summary.json").read_text())
+            assert summary["protocols"]["naive_minhop"]["replicates"][0]["cycles_run"] == cycles
+            return peaks[1] - peaks[0]
 
         # one-time allocations of a first run would inflate the base
-        run_experiment(load_experiment(
-            write_cfg(tmp_path, dict(STORM, out_dir=str(tmp_path / "warm")), "warm.json"),
-            parse_args([])))
-        one, four = peak(1), peak(4)
-        assert four <= 1.15 * one, f"{one // 1024} KiB at 1 replicate, {four // 1024} at 4"
+        experiment_peak(tmp_path, dict(base, max_cycles=50, emit=routes), "warm")
+        short, long = added(250), added(1000)
+        assert long - short <= 64 * 1024, f"{short // 1024} KiB, then {long // 1024}"
 
     def test_unusable_out_dir_exits_3_without_summary(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -3,6 +3,7 @@ bounded stored state."""
 
 import math
 import os
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -19,7 +20,7 @@ from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.routing import live_adjacency
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, compute_trust, link_trust
+from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, blend, link_trust, trust_weights
 import random
 
 from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
@@ -43,13 +44,18 @@ DYING = dict(node_count=30, field_width=120.0, field_height=120.0, packets_per_r
              fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
 
 
-def route_lines(sim):
-    """(id, fate, hop trail) of each line of the route dump."""
+def parse_routes(text):
+    """(id, fate, hop trail) of each line of route dump text."""
     lines = []
-    for line in route_dump_text(sim).splitlines():
+    for line in text.splitlines():
         _, pid, fate, trail = line.split("\t")
         lines.append((int(pid), fate, [int(h) for h in trail.split(">")]))
     return lines
+
+
+def route_lines(sim):
+    """``parse_routes`` of the route dump, which drains the route log."""
+    return parse_routes(route_dump_text(sim))
 
 
 def seen_packets(sim):
@@ -505,7 +511,7 @@ class TestTrustTableAgreement:
                                       reference=float(cfg.wc_max)))
                 assert (ne, ptr, pl) == pytest.approx(want, abs=1e-9), (i, j)
                 assert t_ij == pytest.approx(
-                    compute_trust(*want, cfg.a1, cfg.a2, cfg.a3), abs=1e-9), (i, j)
+                    blend(*want, trust_weights(cfg.a1, cfg.a2, cfg.a3)), abs=1e-9), (i, j)
                 partial_scores += 0.0 < pl < 1.0
         assert partial_scores > 0   # the peer comparison itself was exercised
 
@@ -572,27 +578,28 @@ class TestRouteLog:
     @pytest.fixture(scope="class")
     def storm(self):
         """The job's metrics and route lines, the lines logged over its last
-        50 cycles, and the bytes those lines hold (what deleting them frees,
-        traced while they were made)."""
+        50 cycles, the bytes the log held for them (what draining it with
+        ``route_dump_text`` frees, the text it returns added back, traced
+        while they were made), and what a second drain returns."""
         sim = Simulation(SimConfig(**self.STORM), protocol="dist_aco", seed=9,
                          log_routes=True)
         for _ in range(250):
             sim.run_cycle()
-        before = len(sim.route_log)
+        early = route_dump_text(sim)
         tracemalloc.start()
         try:
             metrics = sim.run()
-            lines = route_lines(sim)
+            logged = len(sim.route_log)
             held = tracemalloc.get_traced_memory()[0]
-            logged = len(sim.route_log) - before
-            del sim.route_log[before:]
-            freed = held - tracemalloc.get_traced_memory()[0]
+            late = route_dump_text(sim)
+            freed = held - tracemalloc.get_traced_memory()[0] + sys.getsizeof(late)
         finally:
             tracemalloc.stop()
-        return metrics, lines, logged, freed
+        lines = parse_routes(early + late)
+        return metrics, lines, logged, freed, route_dump_text(sim)
 
     def test_every_terminal_packet_has_one_line(self, storm):
-        metrics, lines, _, _ = storm
+        metrics, lines, _, _, _ = storm
         totals = conserved_totals(metrics)
         assert len(metrics.cycles) == 300 and totals[DROPPED_OVERFLOW] > 0
         assert len({pid for pid, _, _ in lines}) == len(lines)
@@ -600,9 +607,10 @@ class TestRouteLog:
         assert fates == Counter({fate: totals[fate] for fate in TERMINAL_FATES})
 
     def test_route_log_retains_only_text(self, storm):
-        _, _, logged, freed = storm
+        _, _, logged, freed, drained_again = storm
         assert logged > 5000
         assert freed <= 150 * logged, f"{freed / logged:.0f} bytes per line"
+        assert drained_again == ""
 
 
 class TestKeptCounters:

@@ -303,3 +303,29 @@ class TestLazyPheromone:
             seen = copy.deepcopy(lazy)
             assert [seen.row(i)[j] for i, j in LINKS] == [eager.get(*link)
                                                             for link in LINKS]
+
+
+
+class TestReplayMemo:
+    """A row read after a gap replays each distinct start value once, for
+    every link that holds it; the values still equal per-cycle evaporation."""
+
+    @pytest.mark.parametrize("gap,floored", [(1, 0), (7, 4), (200, 8)])
+    def test_row_after_a_gap_equals_eager_evaporation(self, gap, floored):
+        adjacency = [tuple(range(1, 9))] + [()] * 8
+        tables = (PheromoneTable(adjacency, 1.0, 0.5, 0.1),
+                  EagerPheromone(adjacency, 1.0, 0.5, 0.1))
+        lazy, eager = tables
+        distance = lambda i, j: 10.0
+        # distinct deposits on 0->1 and 0->2, one shared by 0->3 and 0->4;
+        # 0->5 .. 0->8 share the evaporated tau_init
+        for table in tables:
+            table.update_cycle({0: {1: 9, 2: 2, 3: 5, 4: 5}}, distance)
+        reads = []
+        for _ in range(2):   # the second read starts from the first one's floors
+            for _ in range(gap):
+                for table in tables:
+                    table.update_cycle({}, distance)
+            reads.append(list(lazy.row(0).values()))
+            assert reads[-1] == [eager.get(0, j) for j in adjacency[0]]
+        assert reads[0].count(0.5) == floored

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, ZeroWeights,
-                         compute_trust, node_trust, trust_weights)
+                         blend, node_trust, trust_weights)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -201,18 +201,20 @@ class TestEnergyMetric:
 
 
 class TestComputeTrust:
+    """A link's trust from its three metrics: ``blend`` under ``trust_weights``."""
+
     def test_equal_weights_mean(self):
-        assert compute_trust(0.6, 0.8, 0.4, 1, 1, 1) == pytest.approx(0.6, abs=1e-9)
+        assert blend(0.6, 0.8, 0.4, trust_weights(1, 1, 1)) == pytest.approx(0.6, abs=1e-9)
 
     def test_all_ones_any_weights(self):
-        assert compute_trust(1, 1, 1, 0.3, 0.9, 0.05) == pytest.approx(1.0, abs=1e-9)
+        assert blend(1, 1, 1, trust_weights(0.3, 0.9, 0.05)) == pytest.approx(1.0, abs=1e-9)
 
     def test_scaled_weights(self):
-        assert compute_trust(0.5, 1.0, 0.0, 1.0, 0.5, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert blend(0.5, 1.0, 0.0, trust_weights(1.0, 0.5, 0.5)) == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_weights_raise(self):
         with pytest.raises(ZeroWeights):
-            compute_trust(0.5, 0.5, 0.5, 0, 0, 0)
+            blend(0.5, 0.5, 0.5, trust_weights(0, 0, 0))
 
     @given(unit, unit, unit, unit, unit, unit,
            st.floats(min_value=0.01, max_value=100))
@@ -222,20 +224,21 @@ class TestComputeTrust:
         # it rounds subnormal weights away
         if a1 + a2 + a3 == 0 or k * a1 + k * a2 + k * a3 == 0:
             return
-        base = compute_trust(ne, ptr, pl, a1, a2, a3)
-        scaled = compute_trust(ne, ptr, pl, k * a1, k * a2, k * a3)
+        base = blend(ne, ptr, pl, trust_weights(a1, a2, a3))
+        scaled = blend(ne, ptr, pl, trust_weights(k * a1, k * a2, k * a3))
         assert scaled == pytest.approx(base, abs=1e-9)
 
     @given(unit, unit, unit, unit)
     def test_monotone_in_each_metric(self, ne, ptr, pl, bump):
         hi = min(1.0, ne + bump)
-        assert compute_trust(hi, ptr, pl, 1, 1, 1) >= compute_trust(ne, ptr, pl, 1, 1, 1) - 1e-12
+        weights = trust_weights(1, 1, 1)
+        assert blend(hi, ptr, pl, weights) >= blend(ne, ptr, pl, weights) - 1e-12
 
     @given(unit, unit, unit, unit, unit, unit)
     def test_result_in_unit_interval(self, ne, ptr, pl, a1, a2, a3):
         if a1 + a2 + a3 == 0:
             return
-        t = compute_trust(ne, ptr, pl, a1, a2, a3)
+        t = blend(ne, ptr, pl, trust_weights(a1, a2, a3))
         assert -1e-12 <= t <= 1.0 + 1e-12
 
 
