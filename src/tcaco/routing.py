@@ -202,8 +202,13 @@ class PheromoneTable:
         """Node i's out-links and their current pheromone."""
         row = self.rows[i]
         skipped = self.cycles - self.stamp[i]
-        if skipped:
-            decay, floor = self.decay, self.tau_floor
+        decay, floor = self.decay, self.tau_floor
+        if skipped == 1:   # the common gap: one step per link, nothing to share
+            for j, tau in row.items():
+                tau *= decay
+                row[j] = tau if tau > floor else floor
+            self.stamp[i] = self.cycles
+        elif skipped:
             # every link replays the same count, so a start value's result
             # serves each link that holds it (all still at tau_init or the floor)
             replayed: dict[float, float] = {}

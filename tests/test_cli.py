@@ -28,7 +28,7 @@ SMALL = {
 
 ALL_EMITS = ["per-cycle", "summary", "trust", "routes"]
 
-# queue churn with every output: the route log makes most of a job's artifacts
+# queue churn with every output
 STORM = {
     "node_count": 40,
     "source_policy": "random_per_round",
@@ -283,14 +283,18 @@ class TestRunExperiment:
 
     def test_memory_does_not_grow_with_replicate_count(self, tmp_path):
         """Each replicate's files are written when it ends and only its
-        summary record is kept, so four replicates peak no higher than the
-        largest of them run alone."""
+        summary record is kept, so four replicates peak within 3% of the
+        largest of them run alone. In this long, quiet run a replicate's
+        per-cycle rows, CSV text and trust text outweigh its simulation
+        state: keeping all four replicates' results would peak 1.9x as high
+        as the largest single replicate."""
+        quiet = dict(STORM, max_cycles=300, packets_per_round=5, fault_spec=[])
         # one-time allocations of a first run would inflate the base
-        experiment_peak(tmp_path, STORM, "warm")
-        one = max(experiment_peak(tmp_path, dict(STORM, base_seed=seed), f"seed{seed}")
+        experiment_peak(tmp_path, quiet, "warm")
+        one = max(experiment_peak(tmp_path, dict(quiet, base_seed=seed), f"seed{seed}")
                   for seed in range(1, 5))
-        four = experiment_peak(tmp_path, dict(STORM, replicates=4), "four")
-        assert four <= 1.15 * one, f"{one // 1024} KiB at 1 replicate, {four // 1024} at 4"
+        four = experiment_peak(tmp_path, dict(quiet, replicates=4), "four")
+        assert four <= 1.03 * one, f"{one // 1024} KiB at 1 replicate, {four // 1024} at 4"
 
     def test_route_memory_does_not_grow_with_replicate_length(self, tmp_path):
         """Route lines are written as each cycle ends, so what logging them
