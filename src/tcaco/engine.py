@@ -7,6 +7,11 @@ queue) plus a single seeded random stream per replicate make every run
 bit-reproducible. The documented draw order is: node deployment first,
 then fault assignment, then per-cycle draws (source pick, then forwarding
 and receipt coins in processing order).
+
+Trust is not kept here. The engine records evidence into ``stats`` as
+transfers happen, and at step 8 of every cycle hands the levels and
+energies to ``trust`` (a ``trust.TrustReads``), which every trust value and
+verdict that routing reads comes from.
 """
 
 from __future__ import annotations
@@ -22,13 +27,11 @@ from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
-from .routing import (LevelAssignment, PheromoneTable, assign_levels, hops_from,
-                      live_adjacency, rank_by_probability, roulette_wheel,
-                      select_next_hop, transition_probabilities,
-                      trust_congestion_metric)
+from .routing import (PheromoneTable, assign_levels, hops_from, live_adjacency,
+                      rank_by_probability, roulette_wheel, select_next_hop,
+                      transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
-from .trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, latency_scores,
-                    link_trust, node_trust, trust_weights)
+from .trust import TrustReads
 
 
 class SourceDead(RuntimeError):
@@ -101,12 +104,17 @@ def deploy_nodes(cfg: SimConfig, rng: random.Random) -> list[tuple[float, float]
     ]
 
 
+def dead_needed(node_count: int, pct: int) -> int:
+    """The fewest dead nodes that are at least ``pct`` percent of ``node_count``."""
+    return -(-node_count * pct // 100)
+
+
 def extract_milestones(dead_counts: Sequence[int], node_count: int,
                        ) -> dict[int, Optional[int]]:
     """First round at which each dead-node percentage is reached, else None."""
     out: dict[int, Optional[int]] = {}
     for pct in MILESTONE_PERCENTAGES:
-        need = node_count * pct / 100.0
+        need = dead_needed(node_count, pct)
         out[pct] = next(
             (idx + 1 for idx, dead in enumerate(dead_counts) if dead >= need),
             None,
@@ -163,18 +171,10 @@ class Simulation:
         self.ack_bits = int(round(cfg.ack_size_fraction * cfg.packet_size_bits))
         self.latency_penalty = cfg.effective_latency_penalty()
 
-        self.stats = TrustStats()
-        self.trust_weights = trust_weights(cfg.a1, cfg.a2, cfg.a3)
-        # the levels and energies, indexed by endpoint id with the sink last,
-        # that trust is read from: as of step 8 of the last cycle, and before
-        # the first no levels and full batteries, so every link reads 1.0.
-        # Until the next step 8, the trust values, verdicts and row latency
-        # scores read from them so far
-        self._snapshot: tuple[list, list[float]] = (
-            [None] * (n + 1), [cfg.initial_energy] * (n + 1))
-        self._trust_read: dict[tuple[int, int], float] = {}
-        self._verdict_read: dict[int, bool] = {}
-        self._row_scores: dict[int, dict[int, float]] = {}
+        # every trust value and verdict, read as of step 8 of the last cycle,
+        # and the evidence the cycle records
+        self.trust = TrustReads(cfg, self.topology.adjacency)
+        self.stats = self.trust.stats
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
                                         cfg.tau_floor, cfg.rho)
         self.flow = FlowHistory(n, cfg.queue_capacity, window=cfg.congestion_window)
@@ -192,7 +192,8 @@ class Simulation:
         # holds packets (during a cycle also those it emptied)
         self._in_flight = 0
         self._occupied: set[int] = set()
-        self.levels: Optional[LevelAssignment] = None
+        # levels from the source, indexed by endpoint id with the sink last
+        self.levels: Optional[tuple[Optional[int], ...]] = None
         self._levels_source: Optional[int] = None
         self._source_pool: Optional[list[int]] = None
         self.metric_rows: list[CycleStats] = []
@@ -202,12 +203,6 @@ class Simulation:
         # when routes are logged, one rendered line, newline included, per
         # packet ended since ``output.route_dump_text`` last drained the log
         self.route_log: list[str] = []
-
-    @property
-    def node_class(self) -> dict[int, str]:
-        """Verdict per node, as ``malicious`` reads it."""
-        return {j: MALICIOUS_NODE if self.malicious(j) else TRUSTED_NODE
-                for j in range(self.cfg.node_count)}
 
     # ------------------------------------------------------------------ setup
 
@@ -302,19 +297,20 @@ class Simulation:
         each candidate's trust is read once."""
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
-        levels = self.levels.levels
-        th = cfg.trust_threshold
+        levels = self.levels
+        reads = self.trust
+        th = reads.threshold
         taus = self.pheromone.row(i) if self.needs_pheromone else None
         out = []
         for j in self.topology.adjacency[i]:
             if j == self.bs:
                 ci_j = 0.0
-                t_ij = self.trust(i, j) if use_tcm else 1.0
+                t_ij = reads.link(i, j) if use_tcm else 1.0
             else:
                 if levels[j] != level_i + 1:
                     continue
-                t_ij = self.trust(i, j) if self.needs_trust else 1.0
-                if self.trust_filter and (not t_ij > th or self.malicious(j)):
+                t_ij = reads.link(i, j) if self.needs_trust else 1.0
+                if self.trust_filter and (not t_ij > th or reads.malicious(j)):
                     continue
                 # flow rows change only at the end of a cycle; only tc_aco
                 # scores congestion, and its trust filter has passed j
@@ -390,7 +386,7 @@ class Simulation:
         queue = self.queues[j]
         if not queue:
             # j sits one level past i, so its turn in the sweep is still to come
-            heappush(self._sweep, (self.levels.levels[j], j))
+            heappush(self._sweep, (self.levels[j], j))
             self._occupied.add(j)
         # j was admissible, so its queue has room
         enqueue(queue, p, self.cycle, cfg.queue_capacity)
@@ -462,64 +458,12 @@ class Simulation:
                     # the holder sat on this packet until it died
                     self.stats.record_latency(trail[-2], trail[-1], self.latency_penalty)
 
-    def trust_rows(self):
-        """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link order,
-        from the committed evidence and the snapshot ``trust`` reads: the
-        full computation of the values ``trust`` reads until the next step 8."""
-        cfg = self.cfg
-        levels, energies = self._snapshot
-        for i in range(cfg.node_count):
-            yield i, node_trust(self.stats, i, self.topology.adjacency[i], levels,
-                                energies, cfg.initial_energy, self.trust_weights,
-                                cfg.latency_polarity, float(cfg.wc_max))
-
-    def trust(self, i: int, j: int) -> float:
-        """Trust of i upon j from the committed evidence and the levels and
-        energies of step 8 of the last cycle (1.0 before the first cycle).
-        Each link is blended at most once per cycle, each row's latency
-        scores derived at most once."""
-        t_ij = self._trust_read.get((i, j))
-        if t_ij is None:
-            cfg = self.cfg
-            levels, energies = self._snapshot
-            scores = self._row_scores.get(i)
-            if scores is None:
-                scores = self._row_scores[i] = latency_scores(
-                    self.stats, i, levels, cfg.latency_polarity, float(cfg.wc_max))
-            t_ij = self._trust_read[i, j] = link_trust(
-                self.stats, i, j, energies, cfg.initial_energy, scores.get(j, 1.0),
-                self.trust_weights)[2]
-        return t_ij
-
-    def malicious(self, j: int) -> bool:
-        """Verdict on node j: some node has sent to it, and none of those
-        senders' links to it is trustworthy. The walk covers j's senders
-        only (``TrustStats.senders``) and stops at the first trustworthy
-        link; each node is walked at most once per cycle."""
-        verdict = self._verdict_read.get(j)
-        if verdict is not None:
-            return verdict
-        th = self.cfg.trust_threshold
-        senders = self.stats.senders.get(j, ())
-        verdict = bool(senders)
-        for k in senders:
-            if self.trust(k, j) > th:
-                verdict = False
-                break
-        self._verdict_read[j] = verdict
-        return verdict
-
     def _recompute_trust(self) -> None:
-        """Take the snapshot ``trust``, ``malicious`` and ``trust_rows`` read
-        until the next step 8: the cycle's levels and the energies as they
-        stand, the sink last and energy-unbounded, and drop the last cycle's
-        reads. Nothing is blended here."""
-        levels = self.levels
-        self._snapshot = ([*levels.levels, levels.bs_level],
-                          [*self.energy, self.cfg.initial_energy])
-        self._trust_read.clear()
-        self._verdict_read.clear()
-        self._row_scores.clear()
+        """Commit the cycle's evidence and hand the reader the snapshot it
+        reads until the next step 8: the cycle's levels and a copy of the
+        energies as they stand, the sink last and energy-unbounded. Nothing
+        is blended here."""
+        self.trust.take(self.levels, [*self.energy, self.cfg.initial_energy])
 
     def run_cycle(self) -> CycleStats:
         """Advance the simulation by one cycle and return its statistics."""
@@ -573,7 +517,7 @@ class Simulation:
         # 3./4. forwarding sweep, levels ascending, node ids ascending, over
         # the levelled nodes that hold packets: a heap of (level, id) to which
         # _transmit adds each node whose empty queue it fills
-        levels = self.levels.levels
+        levels = self.levels
         sweep = self._sweep
         sweep.extend((levels[i], i) for i in occupied if levels[i] is not None)
         heapify(sweep)
@@ -600,7 +544,6 @@ class Simulation:
 
         # 8. commit the cycle's evidence; the next cycle routes on the trust
         # of this moment
-        self.stats.commit()
         self._recompute_trust()
 
         # 9. deaths and metrics; a death cuts links, so the live adjacency is
@@ -622,12 +565,14 @@ class Simulation:
 
     def run(self, after_cycle: Optional[Callable[["Simulation"], None]] = None,
             ) -> SimMetrics:
-        """Cycle until 60% of nodes are dead, the horizon, or a dead end.
+        """Cycle until 60% of nodes are dead (the last milestone), the
+        horizon, or a dead end.
 
         ``after_cycle(self)``, when given, is called after each cycle that
         completes, outside ``run_cycle``.
         """
         cfg = self.cfg
+        stop_dead = dead_needed(cfg.node_count, MILESTONE_PERCENTAGES[-1])
         termination = "max_cycles"
         while self.cycle < cfg.max_cycles:
             try:
@@ -640,7 +585,7 @@ class Simulation:
                 break
             if after_cycle is not None:
                 after_cycle(self)
-            if row.dead_nodes >= 0.6 * cfg.node_count:
+            if row.dead_nodes >= stop_dead:
                 termination = "dead_fraction"
                 break
         metrics = SimMetrics(

@@ -90,14 +90,14 @@ def summary_json_text(records: dict[str, list[dict]], node_count: int) -> str:
 def trust_dump_text(sim: Simulation) -> str:
     """Per-link trust components CSV: i,j,ne,ptr,pl,t_ij,classification.
 
-    The rows are ``Simulation.trust_rows()``: the full computation from
-    the committed evidence and the current energies and levels. For a
-    protocol that reads trust, each ``t_ij`` is the value
-    ``Simulation.trust`` reads until the next cycle's step 8.
+    The rows are ``sim.trust.rows()``: the full computation from the
+    committed evidence and the snapshot of the last step 8, classified
+    against the reader's threshold. For a protocol that reads trust, each
+    ``t_ij`` is the value routing reads until the next cycle's step 8.
     """
-    threshold = sim.cfg.trust_threshold
+    threshold = sim.trust.threshold
     lines = ["i,j,ne,ptr,pl,t_ij,classification"]
-    for i, rows in sim.trust_rows():
+    for i, rows in sim.trust.rows():
         for j, ne, ptr, pl, t_ij in rows:
             cls = TRUSTWORTHY if t_ij > threshold else UNTRUSTED
             lines.append(f"{i},{j},{ne!r},{ptr!r},{pl!r},{t_ij!r},{cls}")

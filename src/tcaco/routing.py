@@ -12,19 +12,10 @@ set.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .topology import DisconnectedNetwork, Topology
-
-
-@dataclass(frozen=True)
-class LevelAssignment:
-    """Hop distance of every node from the source; None marks unreachable."""
-
-    levels: tuple[Optional[int], ...]  # indexed by node id, bs excluded
-    bs_level: int                      # r: the sink's level on the delivery path
 
 
 def live_adjacency(topology: Topology,
@@ -68,8 +59,10 @@ def hops_from(live: Sequence[Optional[Sequence[int]]],
 
 def assign_levels(topology: Topology, source: int,
                   live: Optional[Sequence[Optional[Sequence[int]]]] = None,
-                  ) -> LevelAssignment:
-    """Breadth-first hop counts from the source over transmitting nodes.
+                  ) -> tuple[Optional[int], ...]:
+    """Breadth-first hop counts from the source over transmitting nodes,
+    indexed by endpoint id with the sink's level last; None marks a node
+    the search does not reach.
 
     ``live`` is the ``live_adjacency`` of the alive nodes, every node alive
     by default. Dead nodes neither relay nor get a level. The sink's level
@@ -86,7 +79,8 @@ def assign_levels(topology: Topology, source: int,
     ]
     if not bs_neighbor_levels:
         raise DisconnectedNetwork("base station unreachable from the source")
-    return LevelAssignment(levels=tuple(levels), bs_level=min(bs_neighbor_levels) + 1)
+    levels.append(min(bs_neighbor_levels) + 1)
+    return tuple(levels)
 
 
 def trust_congestion_metric(t_ij: float, ci_j: float, alpha: float,

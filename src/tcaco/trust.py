@@ -11,17 +11,17 @@ when the engine commits it at the end of the cycle; every read sees
 committed evidence only. As it commits, it indexes each node's senders and
 each node's timed receivers (the links with latency evidence), so a read
 walks only links with evidence, never a whole neighbour row.
-``latency_scores`` is the one computation of a row's latency scores, over
-its timed receivers, and ``link_trust`` the one computation of a link's
-other components and its blend; ``blend`` is the weighted mean, under
-weights ``trust_weights`` checks once per simulation. Every trust value is
-read from the committed evidence and one snapshot of energies and levels,
-which the engine takes at the end of every cycle for every protocol: the
-engine reads each value it routes on through the two functions, and
-``node_trust`` puts a node's whole row together from the same two for
-``Simulation.trust_rows()``, which serves the trust dump and the tests. The
-tests hold independent per-link references for the three metrics and the
-full node verdict, and compare ``node_trust`` and the engine against them.
+
+``TrustReads`` is the one reader of that evidence, held by the engine as
+``Simulation.trust``. At the end of every cycle, for every protocol, it
+commits the evidence and takes one snapshot of levels and energies; every
+value it reads comes from the two. ``latency_scores`` is the one
+computation of a row's latency scores, and ``components`` the one
+computation of a link's other components and its blend; ``blend`` is the
+weighted mean, under weights ``trust_weights`` checks once per simulation.
+``link`` and ``malicious`` serve routing, and ``rows`` the trust dump and
+the tests. The tests hold independent per-link references for the three
+metrics and the full node verdict, and compare the reader against them.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import math
 from bisect import insort
 from typing import Sequence
 
+from .config import SimConfig
+
 TRUSTWORTHY = "trustworthy"
 UNTRUSTED = "untrusted"
-TRUSTED_NODE = "trusted"
-MALICIOUS_NODE = "malicious"
 
 
 class ZeroWeights(ValueError):
@@ -143,77 +143,122 @@ def blend(ne: float, ptr: float, pl: float,
     return (a1 * ne + a2 * ptr + a3 * pl) / total
 
 
-def link_trust(stats: TrustStats, i: int, j: int, energies: Sequence[float],
-               e_init: float, pl: float, weights: tuple[float, float, float, float],
-               ) -> tuple[float, float, float]:
-    """Trust components ``(ne, ptr, t_ij)`` of the link (i, j) with latency
-    score ``pl``. ``energies`` is indexed by endpoint id, the sink included;
-    ``weights`` come from ``trust_weights``."""
-    link = stats.link(i, j)
-    ne = ((energies[i] + energies[j]) / 2.0) / e_init
-    ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
-    return ne, ptr, blend(ne, ptr, pl, weights)
+class TrustReads:
+    """Every trust value and verdict of one simulation, read on demand.
 
-
-def latency_scores(stats: TrustStats, i: int, levels: Sequence, polarity: str,
-                   reference: float) -> dict[int, float]:
-    """Latency score of each neighbor j of i with latency evidence on (i, j):
-    those of ``stats.timed[i]``, the only ones walked.
-
-    ``levels`` is indexed by endpoint id, the sink included. Each mean
-    latency is compared against the mean of the others on its level: the
-    means are summed once per level, in ascending id order (the order of
-    an adjacency row, where the sink, id n, comes last), and its own term
-    is taken back out. Without such peers, ``reference`` (a nominal
-    comparison latency) stands in for their mean. Normalized polarity
-    rewards nodes faster than their peers, capped at 1, and scores an
-    unbounded mean latency (transfers that never completed) 0 outright;
-    literal polarity returns the raw slow/fast ratio clamped to [0,1].
+    ``stats`` is the committed evidence. ``take`` commits the cycle's
+    evidence and replaces the snapshot that every read sees until the next
+    ``take``: ``levels`` and ``energies``, indexed by endpoint id with the
+    sink last. Before the first, no node has a level and every battery is
+    full, so every link reads 1.0. A row's latency scores are derived at
+    most once per snapshot, when a read first needs them; ``rows`` derives
+    them afresh, so it stays the full computation of what ``link`` and
+    ``malicious`` read.
     """
-    cols = stats.timed.get(i)
-    if cols is None:
-        return {}
-    timed = [(j, stats.link(i, j).mean_latency(), levels[j]) for j in cols]
-    group_sum: dict = {}
-    group_cnt: dict = {}
-    for _, m, lvl in timed:
-        group_sum[lvl] = group_sum.get(lvl, 0.0) + m
-        group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
-    scores = {}
-    for j, m_j, lvl in timed:
-        if polarity != "literal" and m_j == math.inf:
-            pl = 0.0
-        else:
-            cnt = group_cnt[lvl] - 1
-            mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else reference
-            if polarity == "literal":
-                if m_j == math.inf or mean_others == 0.0:
+
+    def __init__(self, cfg: SimConfig, adjacency: Sequence[Sequence[int]]):
+        n = cfg.node_count
+        self.stats = TrustStats()
+        self.adjacency = adjacency
+        self.node_count = n
+        self.e_init = cfg.initial_energy
+        self.weights = trust_weights(cfg.a1, cfg.a2, cfg.a3)
+        self.threshold = cfg.trust_threshold
+        self.polarity = cfg.latency_polarity
+        # a nominal comparison latency for a row without peers on a level
+        self.reference = float(cfg.wc_max)
+        self.levels: Sequence = (None,) * (n + 1)
+        self.energies: Sequence[float] = [cfg.initial_energy] * (n + 1)
+        self._scores: dict[int, dict[int, float]] = {}
+
+    def take(self, levels: Sequence, energies: Sequence[float]) -> None:
+        """Commit the buffered evidence and read from ``levels`` and
+        ``energies`` until the next call; both are kept, not copied."""
+        self.stats.commit()
+        self.levels, self.energies = levels, energies
+        self._scores = {}
+
+    def latency_scores(self, i: int) -> dict[int, float]:
+        """Latency score of each neighbor j of i with latency evidence on
+        (i, j): those of ``stats.timed[i]``, the only ones walked.
+
+        Each mean latency is compared against the mean of the others on its
+        level: the means are summed once per level, in ascending id order
+        (the order of an adjacency row, where the sink, id n, comes last),
+        and its own term is taken back out. Without such peers,
+        ``reference`` stands in for their mean. Normalized polarity rewards
+        nodes faster than their peers, capped at 1, and scores an unbounded
+        mean latency (transfers that never completed) 0 outright; literal
+        polarity returns the raw slow/fast ratio clamped to [0,1].
+        """
+        cols = self.stats.timed.get(i)
+        if cols is None:
+            return {}
+        link, levels = self.stats.link, self.levels
+        timed = [(j, link(i, j).mean_latency(), levels[j]) for j in cols]
+        group_sum: dict = {}
+        group_cnt: dict = {}
+        for _, m, lvl in timed:
+            group_sum[lvl] = group_sum.get(lvl, 0.0) + m
+            group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
+        literal = self.polarity == "literal"
+        scores = {}
+        for j, m_j, lvl in timed:
+            if not literal and m_j == math.inf:
+                pl = 0.0
+            else:
+                cnt = group_cnt[lvl] - 1
+                mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else self.reference
+                if literal:
+                    if m_j == math.inf or mean_others == 0.0:
+                        pl = 1.0
+                    else:
+                        pl = min(1.0, max(0.0, m_j / mean_others))
+                elif m_j == 0.0:
                     pl = 1.0
                 else:
-                    pl = min(1.0, max(0.0, m_j / mean_others))
-            elif m_j == 0.0:
-                pl = 1.0
-            else:
-                pl = min(1.0, mean_others / m_j)
-        scores[j] = pl
-    return scores
+                    pl = min(1.0, mean_others / m_j)
+            scores[j] = pl
+        return scores
 
+    def components(self, i: int, j: int, pl: float) -> tuple[float, float, float]:
+        """Trust components ``(ne, ptr, t_ij)`` of the link (i, j) with
+        latency score ``pl``: the one place a link is blended."""
+        link = self.stats.link(i, j)
+        energies = self.energies
+        ne = ((energies[i] + energies[j]) / 2.0) / self.e_init
+        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
+        return ne, ptr, blend(ne, ptr, pl, self.weights)
 
-def node_trust(stats: TrustStats, i: int, neighbors: Sequence[int],
-               levels: Sequence, energies: Sequence[float], e_init: float,
-               weights: tuple[float, float, float, float], polarity: str,
-               reference: float) -> list[tuple[int, float, float, float, float]]:
-    """Trust components ``(j, ne, ptr, pl, t_ij)`` of every out-link of node i,
-    by ``link_trust``; a neighbor without latency evidence scores the
-    neutral 1.0.
+    def link(self, i: int, j: int) -> float:
+        """Trust of i upon j; a neighbor without latency evidence scores
+        the neutral 1.0."""
+        scores = self._scores.get(i)
+        if scores is None:
+            scores = self._scores[i] = self.latency_scores(i)
+        return self.components(i, j, scores.get(j, 1.0))[2]
 
-    ``levels`` and ``energies`` are indexed by endpoint id, the sink
-    included; ``weights`` come from ``trust_weights``.
-    """
-    scores = latency_scores(stats, i, levels, polarity, reference)
-    rows = []
-    for j in neighbors:
-        pl = scores.get(j, 1.0)
-        ne, ptr, t_ij = link_trust(stats, i, j, energies, e_init, pl, weights)
-        rows.append((j, ne, ptr, pl, t_ij))
-    return rows
+    def malicious(self, j: int) -> bool:
+        """Verdict on node j: some node has sent to it, and none of those
+        senders' links to it is trustworthy. The walk covers j's senders
+        only and stops at the first trustworthy link."""
+        senders = self.stats.senders.get(j)
+        if senders is None:
+            return False
+        th = self.threshold
+        for k in senders:
+            if self.link(k, j) > th:
+                return False
+        return True
+
+    def rows(self):
+        """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link
+        order, each row's latency scores derived afresh."""
+        for i in range(self.node_count):
+            scores = self.latency_scores(i)
+            row = []
+            for j in self.adjacency[i]:
+                pl = scores.get(j, 1.0)
+                ne, ptr, t_ij = self.components(i, j, pl)
+                row.append((j, ne, ptr, pl, t_ij))
+            yield i, row

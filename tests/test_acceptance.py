@@ -284,6 +284,23 @@ def test_lifetime_csv_digests_match_golden(lifetime_results):
     assert csv_digests(results) == json.loads(read_text(LIFETIME_CSV_SHA256))
 
 
+def test_golden_p60_is_reached_exactly_by_the_dead_fraction_stops():
+    """The stop rule and the 60% milestone count against one threshold, so
+    in the golden grid p60 is set exactly when a run stopped on
+    ``dead_fraction``, and then at its last cycle."""
+    summary = json.loads(read_text(LIFETIME_SUMMARY))
+    stops = 0
+    for protocol in summary["protocols"].values():
+        for rep in protocol["replicates"]:
+            p60 = rep["milestones"]["p60"]
+            if rep["termination"] == "dead_fraction":
+                assert p60 == rep["cycles_run"], rep
+                stops += 1
+            else:
+                assert p60 is None, rep
+    assert stops
+
+
 def milestone_grid(results):
     lines = ["protocol        " + "".join(f"{f'{p}%':>8}" for p in MILESTONE_PERCENTAGES)]
     for protocol, runs in results.items():

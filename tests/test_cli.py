@@ -345,7 +345,7 @@ class TestTrustDump:
         assert len(rows) == sum(len(sim.topology.adjacency[i]) for i in range(n))
         for line in rows:
             i, j, _, _, _, t_ij, _ = line.split(",")
-            assert float(t_ij) == sim.trust(int(i), int(j)), line
+            assert float(t_ij) == sim.trust.link(int(i), int(j)), line
 
 
 class TestMainExitCodes:

@@ -6,24 +6,24 @@ import os
 import sys
 import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import pytest
 
 from tcaco import congestion, topology
 from tcaco.cli import build_parser, load_experiment
 from tcaco.config import FaultSpec, SimConfig
-from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, deploy_nodes,
+from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, dead_needed, deploy_nodes,
                           extract_milestones, run_simulation)
 from tcaco.energy import tx_cost
 from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
 from tcaco.routing import live_adjacency
 from tcaco.topology import DisconnectedNetwork
-from tcaco.trust import MALICIOUS_NODE, TRUSTED_NODE, blend, link_trust, trust_weights
+from tcaco.trust import TrustReads, blend, trust_weights
 import random
 
-from test_trust import classify, energy_metric, latency_score, packet_transmission_ratio
+from test_trust import (MALICIOUS_NODE, TRUSTED_NODE, classify, energy_metric,
+                        latency_score, node_class, packet_transmission_ratio)
 
 
 def conserved_totals(metrics):
@@ -108,6 +108,14 @@ class TestMilestones:
         reached = [got[p] for p in (1, 10, 20, 30, 40, 50, 60) if got[p] is not None]
         assert reached == sorted(reached)
 
+    def test_threshold_is_the_ceiling_of_the_float_rules(self):
+        # the stop rule read ``dead >= 0.6 * n`` and the milestones
+        # ``dead >= n * pct / 100.0``; both reach the same integer counts
+        for n in range(1, 5001):
+            assert dead_needed(n, 60) == math.ceil(0.6 * n), n
+            for pct in (1, 10, 20, 30, 40, 50, 60):
+                assert dead_needed(n, pct) == math.ceil(n * pct / 100.0), (n, pct)
+
 
 class TestTwoNodeDelivery:
     def test_whole_generation_delivered_in_one_cycle(self):
@@ -191,8 +199,8 @@ class TestDropRelay:
         sim = self.chain()
         for _ in range(4):
             sim.run_cycle()
-        assert sim.trust(0, 1) < sim.cfg.trust_threshold
-        assert sim.node_class[1] == "malicious"
+        assert sim.trust.link(0, 1) < sim.cfg.trust_threshold
+        assert node_class(sim)[1] == MALICIOUS_NODE
 
 
 class TestFaultBehaviors:
@@ -426,7 +434,7 @@ class TestSweep:
             assert all(held for _, _, held in visits), sim.cycle
             # a queue gains packets only from the level before its own, so one
             # that is not empty now was not empty at its turn either
-            levelled = {i for i, lvl in enumerate(sim.levels.levels) if lvl is not None}
+            levelled = {i for i, lvl in enumerate(sim.levels[:-1]) if lvl is not None}
             skipped = levelled - {i for _, i, _ in visits}
             assert not any(sim.queues[i] for i in skipped), sim.cycle
             totals["visits"] += len(visits)
@@ -495,16 +503,13 @@ class TestTrustTableAgreement:
                                               copies=2)))
         sim = Simulation(cfg, seed=6)
         sim.run()
-        levels = sim.levels.levels
-        bs_level = sim.levels.bs_level
+        levels = sim.levels
         partial_scores = 0
-        for i, rows in sim.trust_rows():
+        for i, rows in sim.trust.rows():
             for j, ne, ptr, pl, t_ij in rows:
-                assert t_ij == sim.trust(i, j), (i, j)
+                assert t_ij == sim.trust.link(i, j), (i, j)
                 e_j = cfg.initial_energy if j == sim.bs else sim.energy[j]
-                lvl_j = bs_level if j == sim.bs else levels[j]
-                peers = [k for k in sim.topology.adjacency[i]
-                         if (bs_level if k == sim.bs else levels[k]) == lvl_j]
+                peers = [k for k in sim.topology.adjacency[i] if levels[k] == levels[j]]
                 want = (energy_metric(sim.energy[i], e_j, cfg.initial_energy),
                         packet_transmission_ratio(sim.stats, i, j),
                         latency_score(sim.stats, i, j, peers, polarity,
@@ -665,8 +670,8 @@ class TestKeptCounters:
 
 
 def all_trust(sim):
-    """``trust_rows`` as a map of link -> t_ij."""
-    return {(i, j): t_ij for i, rows in sim.trust_rows() for j, _, _, _, t_ij in rows}
+    """``sim.trust.rows()`` as a map of link -> t_ij."""
+    return {(i, j): t_ij for i, rows in sim.trust.rows() for j, _, _, _, t_ij in rows}
 
 
 class TestIncrementalTrust:
@@ -688,32 +693,19 @@ class TestIncrementalTrust:
 
     @staticmethod
     def run_checked(sim):
-        """Run ``sim`` to its end, checking after every cycle that no link
-        was blended twice since the last step 8, and that every link's trust
-        and every node's verdict read as the full recomputation."""
+        """Run ``sim`` to its end, checking after every cycle that every
+        link's trust and every node's verdict read as the full
+        recomputation."""
         cfg = sim.cfg
-        blended = []
-
-        def recording(stats, i, j, *args):
-            blended.append((i, j))
-            return link_trust(stats, i, j, *args)
-
-        with mock.patch("tcaco.engine.link_trust", recording):
-            while sim.cycle < cfg.max_cycles:
-                try:
-                    sim.run_cycle()
-                except (SourceDead, DisconnectedNetwork):
-                    break
-                # reads by the checks below and by routing fall between the
-                # same two step 8s
-                repeated = [link for link, k in Counter(blended).items() if k > 1]
-                assert not repeated, (sim.cycle, repeated)
-                blended.clear()
-                full = all_trust(sim)
-                assert {link: sim.trust(*link) for link in full} == full, sim.cycle
-                assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
-                                                  cfg.node_count), sim.cycle
-        assert blended      # the engine blends through the patched name
+        while sim.cycle < cfg.max_cycles:
+            try:
+                sim.run_cycle()
+            except (SourceDead, DisconnectedNetwork):
+                break
+            full = all_trust(sim)
+            assert {link: sim.trust.link(*link) for link in full} == full, sim.cycle
+            assert node_class(sim) == classify(full, sim.stats, cfg.trust_threshold,
+                                               cfg.node_count), sim.cycle
         return sim
 
     @pytest.mark.parametrize("name", GOLDEN_CASES)
@@ -742,22 +734,21 @@ class TestIncrementalTrust:
         i, j = next((i, j) for i in range(cfg.node_count) for j in adjacency[i]
                     if j != sim.bs and not any(sim.stats.link(k, j).packets_sent
                                                for k in adjacency[j]))
-        assert sim.trust(i, j) <= cfg.trust_threshold
-        assert sim.node_class[j] != MALICIOUS_NODE
+        assert sim.trust.link(i, j) <= cfg.trust_threshold
+        assert node_class(sim)[j] != MALICIOUS_NODE
         sim.stats.record_send(i, j)
         sim.stats.record_ack(i, j)
-        sim.stats.commit()
         sim._recompute_trust()
-        assert sim.trust(i, j) <= cfg.trust_threshold
-        assert sim.node_class == classify(all_trust(sim), sim.stats,
-                                          cfg.trust_threshold, cfg.node_count)
-        assert sim.node_class[j] == MALICIOUS_NODE
+        assert sim.trust.link(i, j) <= cfg.trust_threshold
+        assert node_class(sim) == classify(all_trust(sim), sim.stats,
+                                           cfg.trust_threshold, cfg.node_count)
+        assert node_class(sim)[j] == MALICIOUS_NODE
 
 
 class TestTrustReadsAtCycleStart:
     """Every trust value and verdict routing reads during cycle c equals
-    ``trust_rows``/``classify`` taken right after cycle c-1 (before cycle
-    1: every link 1.0, every node trusted)."""
+    ``sim.trust.rows()``/``classify`` taken right after cycle c-1 (before
+    cycle 1: every link 1.0, every node trusted)."""
 
     # many delayed packets are delivered while the sweep is under way, so
     # some verdicts read links whose rows gained latency evidence earlier in
@@ -772,7 +763,8 @@ class TestTrustReadsAtCycleStart:
     def test_reads_equal_the_previous_cycles_recomputation(self, protocol):
         cfg = SimConfig(**self.CFG)
         sim = Simulation(cfg, protocol=protocol, seed=4)
-        trust, malicious = sim.trust, sim.malicious
+        reader = sim.trust
+        trust, malicious = reader.link, reader.malicious
         read_t, read_v = [], []
 
         def recording_trust(i, j):
@@ -783,7 +775,7 @@ class TestTrustReadsAtCycleStart:
             read_v.append((j, malicious(j)))
             return read_v[-1][1]
 
-        sim.trust, sim.malicious = recording_trust, recording_malicious
+        reader.link, reader.malicious = recording_trust, recording_malicious
         reads = flagged = 0
         while sim.cycle < cfg.max_cycles:
             full = all_trust(sim)
@@ -797,3 +789,32 @@ class TestTrustReadsAtCycleStart:
             reads += len(read_t)
             flagged += any(flag for _, flag in read_v)
         assert reads and flagged
+
+    def test_row_scores_are_derived_at_most_once_between_snapshots(self, monkeypatch):
+        """Between two ``take`` calls, the reads derive each row's latency
+        scores at most once: the one memo the reader keeps."""
+        take, latency_scores, link = (TrustReads.take, TrustReads.latency_scores,
+                                      TrustReads.link)
+        derived, repeated, totals = Counter(), [], Counter()
+
+        def counted_take(reads, levels, energies):
+            repeated.extend(i for i, k in derived.items() if k > 1)
+            totals["derived"] += sum(derived.values())
+            derived.clear()
+            take(reads, levels, energies)
+
+        def counted_scores(reads, i):
+            derived[i] += 1
+            return latency_scores(reads, i)
+
+        def counted_link(reads, i, j):
+            totals["reads"] += 1
+            return link(reads, i, j)
+
+        monkeypatch.setattr(TrustReads, "take", counted_take)
+        monkeypatch.setattr(TrustReads, "latency_scores", counted_scores)
+        monkeypatch.setattr(TrustReads, "link", counted_link)
+        metrics = Simulation(SimConfig(**self.CFG), protocol="tc_aco", seed=4).run()
+        assert len(metrics.cycles) == self.CFG["max_cycles"]
+        assert not repeated
+        assert 0 < totals["derived"] < totals["reads"] / 2

@@ -14,7 +14,7 @@ from tcaco.routing import assign_levels, hops_from, live_adjacency
 from tcaco.topology import DisconnectedNetwork, build_topology
 
 from test_engine import all_trust, conserved_totals, route_lines
-from test_trust import classify
+from test_trust import classify, node_class
 
 fractions = st.sampled_from([0.1, 0.2, 0.3])
 FAULTS = {
@@ -98,8 +98,8 @@ def test_evidence_indexes_equal_a_scan_of_the_links(cfg, protocol):
        st.sampled_from(PROTOCOLS))
 def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
     """After every cycle each link's trust read on demand equals
-    ``trust_rows`` and the verdict read on demand equals ``classify`` over
-    those values."""
+    ``sim.trust.rows()`` and the verdict read on demand equals ``classify``
+    over those values."""
     try:
         sim = Simulation(cfg, protocol=protocol)
     except DisconnectedNetwork:
@@ -110,9 +110,9 @@ def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
         except (SourceDead, DisconnectedNetwork):
             break
         full = all_trust(sim)
-        assert {link: sim.trust(*link) for link in full} == full, sim.cycle
-        assert sim.node_class == classify(full, sim.stats, cfg.trust_threshold,
-                                          cfg.node_count), sim.cycle
+        assert {link: sim.trust.link(*link) for link in full} == full, sim.cycle
+        assert node_class(sim) == classify(full, sim.stats, cfg.trust_threshold,
+                                           cfg.node_count), sim.cycle
 
 
 def reference_hops(topology, roots, alive):
@@ -168,6 +168,4 @@ def test_live_adjacency_search_equals_the_filtered_search(graph):
         except DisconnectedNetwork:
             return
         raise AssertionError("a dead source or an unreachable sink got levels")
-    levels = assign_levels(topology, source, live)
-    assert levels.levels == tuple(want)
-    assert levels.bs_level == min(reached) + 1
+    assert assign_levels(topology, source, live) == (*want, min(reached) + 1)

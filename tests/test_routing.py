@@ -19,21 +19,20 @@ def chain_topology():
 
 class TestLevels:
     def test_chain_levels(self):
-        levels = assign_levels(chain_topology(), source=0)
-        assert levels.levels == (0, 1, 2)
-        assert levels.bs_level == 3
+        # indexed by endpoint id, the sink's level last
+        assert assign_levels(chain_topology(), source=0) == (0, 1, 2, 3)
 
     def test_source_neighbors_are_level_one(self):
         topo = build_topology([(0, 0), (5, 0), (0, 5), (3, 3)], (6, 6), 8.0)
         levels = assign_levels(topo, source=0)
         for j in topo.adjacency[0]:
             if j != topo.bs_id:
-                assert levels.levels[j] == 1
+                assert levels[j] == 1
 
     def test_out_of_range_node_unreachable(self):
         topo = build_topology([(0, 0), (10, 0), (200, 200)], (15, 0), 12.0)
         levels = assign_levels(topo, source=0)
-        assert levels.levels[2] is None
+        assert levels[2] is None
 
     def test_sink_unreachable_raises(self):
         topo = build_topology([(0, 0), (10, 0), (100, 0)], (105, 0), 12.0)

@@ -6,13 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcaco import engine, topology
+from tcaco import topology
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import Simulation, deploy_nodes
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
 from tcaco.topology import (DisconnectedNetwork, Topology, build_topology,
                             euclidean_distance)
-from tcaco.trust import TrustStats
+from tcaco.trust import TrustReads, TrustStats
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 point = st.tuples(coord, coord)
@@ -183,30 +183,30 @@ def test_measures_a_bounded_share_of_pairs(monkeypatch):
 
 def test_trust_reads_walk_a_bounded_number_of_links(monkeypatch):
     """A scale-shaped tc_aco run (n=800 at the shipped density, rotating
-    source, drop faults) looks up at most two link records per link it
-    blends: the verdict walks only a node's senders and the latency scores
-    only a row's timed links, where walking whole neighbour rows looked up
-    about 13 per blend."""
+    source, drop faults) looks up at most two link records per link the
+    reader blends: the verdict walks only a node's senders and the latency
+    scores only a row's timed links, where walking whole neighbour rows
+    looked up about 13 per blend."""
     n = 800
     side = 200.0 * math.sqrt(n / 50)
     cfg = SimConfig(node_count=n, field_width=side, field_height=side,
                     source_policy="random_per_round", max_cycles=100,
                     fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
     lookups = blends = 0
-    link, link_trust = TrustStats.link, engine.link_trust
+    link, components = TrustStats.link, TrustReads.components
 
     def counted_link(self, i, j):
         nonlocal lookups
         lookups += 1
         return link(self, i, j)
 
-    def counted_blend(*args):
+    def counted_blend(self, i, j, pl):
         nonlocal blends
         blends += 1
-        return link_trust(*args)
+        return components(self, i, j, pl)
 
     monkeypatch.setattr(TrustStats, "link", counted_link)
-    monkeypatch.setattr(engine, "link_trust", counted_blend)
+    monkeypatch.setattr(TrustReads, "components", counted_blend)
     sim = Simulation(cfg, protocol="tc_aco", seed=1)
     sim.run()
     assert sim.cycle == 100
@@ -271,7 +271,7 @@ def test_node_alive_tracks_threshold():
         sim = Simulation(cfg, positions=layout)
         sim.energy[1] = energy
         sim.run_cycle()
-        assert sim.levels.levels[1] is not None
+        assert sim.levels[1] is not None
     sim = Simulation(cfg, positions=layout)
     sim.energy[1] = 0.009
     with pytest.raises(DisconnectedNetwork):

@@ -2,9 +2,11 @@
 
 The per-link metric functions and ``classify`` below are the tests'
 independent references: each computes one link's metric, or the full node
-verdict, straight from the evidence, the way the definitions read. The
-engine computes the same from per-level sums and keeps the verdict by
-counts; ``test_engine`` and ``test_properties`` compare it against these.
+verdict, straight from the evidence, the way the definitions read.
+``TrustReads`` computes the same from per-level sums and reads the verdict
+by walking a node's senders; ``test_engine`` and ``test_properties``
+compare it against these. ``node_class`` is the reader's verdict in the
+references' form.
 """
 
 import math
@@ -13,10 +15,19 @@ from typing import Iterable
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tcaco.trust import (MALICIOUS_NODE, TRUSTED_NODE, TrustStats, ZeroWeights,
-                         blend, node_trust, trust_weights)
+from tcaco.config import SimConfig
+from tcaco.trust import TrustReads, TrustStats, ZeroWeights, blend, trust_weights
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+TRUSTED_NODE = "trusted"
+MALICIOUS_NODE = "malicious"
+
+
+def node_class(sim) -> dict[int, str]:
+    """Verdict per node of ``sim``, as ``sim.trust.malicious`` reads it."""
+    return {j: MALICIOUS_NODE if sim.trust.malicious(j) else TRUSTED_NODE
+            for j in range(sim.cfg.node_count)}
 
 
 def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:
@@ -294,23 +305,25 @@ class TestClassify:
 
 def test_drop_all_link_converges_untrusted():
     """A never-acknowledging neighbor loses the link and the node verdict."""
-    stats = TrustStats()
+    reads = TrustReads(SimConfig(node_count=3, initial_energy=1.0, wc_max=3),
+                       [[1, 2], [0], [0], []])
+    stats = reads.stats
     table = {}
-    levels = [1, 2, 2, 3]       # 0 sends to 1 and 2 on the next level; 3 is the sink
+    levels = (1, 2, 2, 3)       # 0 sends to 1 and 2 on the next level; 3 is the sink
     energies = [1.0] * 4
     for cycle in range(1, 30):
         for _ in range(5):
             stats.record_send(0, 1)
             stats.record_latency(0, 1, math.inf)
-        stats.commit()
-        for j, _, _, _, t_ij in node_trust(stats, 0, [1, 2], levels, energies,
-                                           1.0, trust_weights(1, 1, 1), "normalized", 3.0):
+        reads.take(levels, energies)
+        for j, _, _, _, t_ij in dict(reads.rows())[0]:
             table[(0, j)] = t_ij
     assert packet_transmission_ratio(stats, 0, 1) == 0.0
     assert table[(0, 1)] < 0.5
     nodes = classify(table, stats, 0.5, 3)
     assert nodes[1] == MALICIOUS_NODE
     assert nodes[2] == TRUSTED_NODE     # never sent to: no evidence against it
+    assert (reads.malicious(1), reads.malicious(2)) == (True, False)
 
 
 class TestEvidenceRecords:
