@@ -104,4 +104,7 @@ class FlowHistory:
         if denom <= 0:
             return 0.0
         ci = (r_in + q_prev - r_out) / denom
-        return min(1.0, max(0.0, ci))
+        # min(1.0, max(0.0, ci)), written as the comparisons it makes
+        if not ci > 0.0:
+            return 0.0
+        return ci if ci < 1.0 else 1.0

@@ -20,7 +20,13 @@ def rx_cost(bits: int, cfg: SimConfig) -> float:
 
 
 def debit(energy: list[float], k: int, amount: float) -> None:
-    """Subtract ``amount`` from node k's battery, clamped at zero."""
-    if amount < 0:
+    """Subtract ``amount`` from node k's battery, clamped at zero.
+
+    The clamp is the comparison ``max(0.0, left)`` makes (a ``-0.0`` or NaN
+    balance becomes ``0.0``), written out because this runs on every
+    transfer and the builtin call costs several times as much.
+    """
+    if not amount >= 0:
         raise ValueError("energy debit must be non-negative")
-    energy[k] = max(0.0, energy[k] - amount)
+    left = energy[k] - amount
+    energy[k] = left if left > 0.0 else 0.0

@@ -534,7 +534,8 @@ class Simulation:
         queues, cap = self.queues, cfg.queue_capacity
         self.flow.record_cycle(self._inflow_now,
                                {i: sum(out.values()) for i, out in self._sent_now.items()},
-                               {k: max(0, cap - len(queues[k])) for k in occupied})
+                               {k: (free if (free := cap - len(queues[k])) > 0 else 0)
+                                for k in occupied})
         self._occupied = {k for k in occupied if queues[k]}
 
         # 7. pheromone evaporation and deposits

@@ -164,7 +164,8 @@ def select_next_hop(ranked: Sequence[int],
             idx = 0
         else:
             idx = bisect.bisect_left(cum, rng.random() * total)
-            idx = min(idx, len(pool) - 1)
+            if idx >= len(pool):
+                idx = len(pool) - 1
         cid = pool.pop(idx)
         if admissible(cid):
             return cid

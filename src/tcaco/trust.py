@@ -213,11 +213,18 @@ class TrustReads:
                     if m_j == math.inf or mean_others == 0.0:
                         pl = 1.0
                     else:
-                        pl = min(1.0, max(0.0, m_j / mean_others))
+                        # min(1.0, max(0.0, ratio)), as the comparisons it makes
+                        pl = m_j / mean_others
+                        if not pl > 0.0:
+                            pl = 0.0
+                        elif not pl < 1.0:
+                            pl = 1.0
                 elif m_j == 0.0:
                     pl = 1.0
                 else:
-                    pl = min(1.0, mean_others / m_j)
+                    pl = mean_others / m_j
+                    if not pl < 1.0:
+                        pl = 1.0
             scores[j] = pl
         return scores
 

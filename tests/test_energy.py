@@ -1,5 +1,7 @@
 """First-order radio costs and battery debits."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,9 +58,12 @@ def test_debit_basic_and_clamp():
 
 
 def test_debit_rejects_negative():
+    """A NaN amount is no non-negative amount either: it would empty the
+    battery if it got past the check."""
     energy = [0.5]
-    with pytest.raises(ValueError):
-        debit(energy, 0, -0.1)
+    for amount in (-0.1, -5e-324, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            debit(energy, 0, amount)
     assert energy == [0.5]
 
 
