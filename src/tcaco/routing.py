@@ -147,6 +147,11 @@ def select_next_hop(ranked: Sequence[int],
     inadmissible draws without replacement. ``wheel``, when given, is
     ``roulette_wheel(ranked, probabilities)``, built once by a caller that
     selects many times over one candidate set; it is only read.
+
+    After a refused draw the wheel is the one ``roulette_wheel`` builds over
+    the remaining pool, bit for bit: the running sums before the refused
+    candidate stay, and only those after it are summed again, from the last
+    one kept, as ``accumulate`` sums them afresh.
     """
     if mode == "deterministic_rank":
         for cid in ranked:
@@ -159,6 +164,7 @@ def select_next_hop(ranked: Sequence[int],
         raise ValueError("roulette selection needs probabilities and an rng")
     pool = list(ranked)
     cum, total = wheel or roulette_wheel(pool, probabilities)
+    weights = None   # the pool's probabilities, once a draw is refused
     while pool:
         if total <= 0.0:
             idx = 0
@@ -169,7 +175,14 @@ def select_next_hop(ranked: Sequence[int],
         cid = pool.pop(idx)
         if admissible(cid):
             return cid
-        cum, total = roulette_wheel(pool, probabilities)
+        if weights is None:
+            weights = [probabilities[c] for c in pool]
+        else:
+            del weights[idx]
+        # a new list: a shared wheel is never written
+        cum = ([*cum[:idx - 1], *accumulate(weights[idx:], initial=cum[idx - 1])]
+               if idx else list(accumulate(weights)))
+        total = sum(weights)
     return None
 
 

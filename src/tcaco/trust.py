@@ -8,9 +8,12 @@ nothing.
 
 ``TrustStats`` buffers a cycle's evidence as it is recorded and applies it
 when the engine commits it at the end of the cycle; every read sees
-committed evidence only. As it commits, it indexes each node's senders and
-each node's timed receivers (the links with latency evidence), so a read
-walks only links with evidence, never a whole neighbour row.
+committed evidence only. Sends and acks arrive at that step 8 as per-link
+counts from the engine's ledger of the cycle's transfers; latency arrives
+as it happens, one record per delivery for the packet's whole trail and one
+per failed transfer or timeout. As it commits, it indexes each node's
+senders and each node's timed receivers (the links with latency evidence),
+so a read walks only links with evidence, never a whole neighbour row.
 
 ``TrustReads`` is the one reader of that evidence, held by the engine as
 ``Simulation.trust``. At the end of every cycle, for every protocol, it
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from itertools import pairwise
 from typing import Sequence
 
 from .config import SimConfig
@@ -73,6 +77,14 @@ class TrustStats:
     only. Only evidence creates a link's record; reading a link without any
     stores nothing.
 
+    Sends and acks are recorded as counts per link, ``record_send(i, j, n)``
+    and ``record_ack(i, j, n)``; the engine hands over each cycle's counts
+    from its ledger at step 8. ``record_trail`` buffers one latency sample
+    for every link of a trail, so a delivery makes one record, and
+    ``record_latency`` is a trail of one link; ``commit`` expands a trail at
+    its place in the buffer, link by link, so each link adds its samples in
+    the order they were recorded.
+
     ``commit`` also keeps two indexes of the committed evidence, with an
     entry only for a node that has one: ``senders[j]`` lists each k whose
     link k->j has a send, in the order of their first sends, and
@@ -81,44 +93,58 @@ class TrustStats:
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
-        self._pending: list[tuple[int, int, int, float]] = []
+        # (kind, i, j, count) for sends and acks, (kind, trail, None, value)
+        # for latency
+        self._pending: list[tuple] = []
         self.senders: dict[int, list[int]] = {}
         self.timed: dict[int, list[int]] = {}
 
     def link(self, i: int, j: int) -> LinkStats:
         return self._links.get((i, j), _NO_EVIDENCE)
 
-    def record_send(self, i: int, j: int) -> None:
-        self._pending.append((_SEND, i, j, 0.0))
+    def record_send(self, i: int, j: int, n: int = 1) -> None:
+        self._pending.append((_SEND, i, j, n))
 
-    def record_ack(self, i: int, j: int) -> None:
-        self._pending.append((_ACK, i, j, 0.0))
+    def record_ack(self, i: int, j: int, n: int = 1) -> None:
+        self._pending.append((_ACK, i, j, n))
 
     def record_latency(self, i: int, j: int, value: float) -> None:
-        if value < 0:
+        self.record_trail((i, j), value)
+
+    def record_trail(self, trail: Sequence[int], value: float) -> None:
+        """One latency sample ``value`` on each link of ``trail``. The trail
+        is kept, not copied, so the caller leaves it unchanged until the next
+        ``commit``."""
+        if not value >= 0:
             raise ValueError("latency samples must be non-negative")
-        self._pending.append((_LATENCY, i, j, value))
+        self._pending.append((_LATENCY, trail, None, value))
 
     def commit(self) -> None:
         """Apply the buffered evidence in the order it was recorded."""
         links, senders, timed = self._links, self.senders, self.timed
         for kind, i, j, value in self._pending:
+            if kind == _LATENCY:
+                trail = i
+                for i, j in pairwise(trail):
+                    s = links.get((i, j))
+                    if s is None:
+                        s = links[(i, j)] = LinkStats()
+                    if not s.latency_count:
+                        insort(timed.setdefault(i, []), j)
+                    s.latency_count += 1
+                    s.latency_sum += value
+                continue
             s = links.get((i, j))
             if s is None:
                 s = links[(i, j)] = LinkStats()
             if kind == _SEND:
                 if not s.packets_sent:
                     senders.setdefault(j, []).append(i)
-                s.packets_sent += 1
-            elif kind == _ACK:
-                s.acks_received += 1
+                s.packets_sent += value
+            else:
+                s.acks_received += value
                 if s.acks_received > s.packets_sent:
                     raise RuntimeError(f"more acks than sends on link {i}->{j}")
-            else:
-                if not s.latency_count:
-                    insort(timed.setdefault(i, []), j)
-                s.latency_count += 1
-                s.latency_sum += value
         self._pending = []
 
 

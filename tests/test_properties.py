@@ -1,15 +1,19 @@
 """Invariants of small random runs across protocols, forwarding modes,
 fault kinds and polarities."""
 
+import math
+from bisect import insort
 from collections import Counter
 from dataclasses import replace
+
+import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
 from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLARITIES,
                           SOURCE_POLICIES, FaultSpec, SimConfig)
 from tcaco.engine import PROTOCOLS, Simulation, SourceDead
-from tcaco.model import TERMINAL_FATES
+from tcaco.model import DELIVERED, DROPPED_TIMEOUT, TERMINAL_FATES
 from tcaco.routing import assign_levels, hops_from, live_adjacency
 from tcaco.topology import DisconnectedNetwork, build_topology
 
@@ -91,6 +95,92 @@ def test_evidence_indexes_equal_a_scan_of_the_links(cfg, protocol):
             timed = [k for k in row if stats.link(j, k).latency_count]
             assert sorted(stats.senders.get(j, ())) == senders, (sim.cycle, j)
             assert stats.timed.get(j, []) == timed, (sim.cycle, j)
+
+
+class TransferByTransfer:
+    """Evidence recorded transfer by transfer and applied at once: one send
+    per ``_transmit`` call, one ack per call that returned True, one latency
+    sample per hop of each delivered packet's trail, and one for each
+    unacknowledged transfer and each timeout. It installs itself on ``sim``
+    as wrappers of ``_transmit`` and ``_finish``."""
+
+    def __init__(self, sim):
+        self.links = {}   # (i, j) -> [sent, acks, latency count, latency sum]
+        self.senders, self.timed = {}, {}
+        penalty = sim.cfg.latency_penalty_cycles
+        transmit, finish = sim._transmit, sim._finish
+
+        def shadow_transmit(i, p, j):
+            self.send(i, j)
+            acked = transmit(i, p, j)
+            if acked:
+                self.link(i, j)[1] += 1
+            else:
+                self.latency(i, j, math.inf)
+            return acked
+
+        def shadow_finish(p, fate):
+            finish(p, fate)
+            trail = p.hop_trail
+            if fate == DELIVERED:
+                for a, b in zip(trail, trail[1:]):
+                    self.latency(a, b, float(sim.cycle - p.created_cycle))
+            elif fate == DROPPED_TIMEOUT and len(trail) >= 2:
+                self.latency(trail[-2], trail[-1], penalty)
+
+        sim._transmit, sim._finish = shadow_transmit, shadow_finish
+
+    def link(self, i, j):
+        return self.links.setdefault((i, j), [0, 0, 0, 0.0])
+
+    def send(self, i, j):
+        s = self.link(i, j)
+        if not s[0]:
+            self.senders.setdefault(j, []).append(i)
+        s[0] += 1
+
+    def latency(self, i, j, value):
+        s = self.link(i, j)
+        if not s[2]:
+            insort(self.timed.setdefault(i, []), j)
+        s[2] += 1
+        s[3] += value
+
+    def evidence(self):
+        return {link: (sent, acks, count, total.hex())
+                for link, (sent, acks, count, total) in self.links.items()}
+
+
+# every fault behaviour at once, and a latency penalty that is no whole cycle
+ledger_configs = st.builds(
+    replace, configs,
+    fault_spec=st.tuples(*(FAULTS[kind] for kind in sorted(FAULTS))),
+    latency_penalty_cycles=st.floats(0.1, 40.0).filter(lambda v: not v.is_integer()))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=40, deadline=None)
+@given(ledger_configs)
+def test_ledger_evidence_equals_transfer_by_transfer(protocol, cfg):
+    """After every cycle the evidence handed over from the cycle's ledger
+    equals evidence recorded transfer by transfer: each link's counts, its
+    latency sum bit for bit, and ``senders`` and ``timed`` in their order."""
+    try:
+        sim = Simulation(cfg, protocol=protocol)
+    except DisconnectedNetwork:
+        assume(False)
+    shadow = TransferByTransfer(sim)
+    stats = sim.stats
+    while sim.cycle < cfg.max_cycles:
+        try:
+            sim.run_cycle()
+        except (SourceDead, DisconnectedNetwork):
+            break
+        got = {link: (s.packets_sent, s.acks_received, s.latency_count,
+                      s.latency_sum.hex()) for link, s in stats._links.items()}
+        assert got == shadow.evidence(), sim.cycle
+        assert stats.senders == shadow.senders, sim.cycle
+        assert stats.timed == shadow.timed, sim.cycle
 
 
 @settings(max_examples=100, deadline=None)

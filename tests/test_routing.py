@@ -1,7 +1,9 @@
 """Level assignment, candidate scoring, hop selection, pheromone update."""
 
+import bisect
 import copy
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -182,6 +184,58 @@ class TestSelection:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             select_next_hop([1], lambda _: True, "wheel")
+
+
+def rebuilding_roulette(ranked, admissible, probabilities, rng):
+    """Roulette selection that builds the whole wheel afresh over the
+    remaining pool after every refused draw."""
+    pool = list(ranked)
+    while pool:
+        weights = [probabilities[cid] for cid in pool]
+        cum, total = list(accumulate(weights)), sum(weights)
+        if total <= 0.0:
+            idx = 0
+        else:
+            idx = min(bisect.bisect_left(cum, rng.random() * total), len(pool) - 1)
+        cid = pool.pop(idx)
+        if admissible(cid):
+            return cid
+    return None
+
+
+SUBNORMAL = 5e-324
+probability = st.one_of(st.sampled_from([0.0, SUBNORMAL, 1e-300, 0.1, 1.0]),
+                        st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(probability, min_size=1, max_size=8), st.data(), st.integers(0, 2 ** 16),
+       st.booleans())
+@example([0.0, 0.0, 0.0], None, 1, False)                # all-zero total
+@example([0.0, 0.0, 0.0], None, 1, True)
+@example([SUBNORMAL, 0.0, SUBNORMAL, 0.5], None, 2, True)
+@example([0.3, 0.3, 0.4], None, 3, True)
+def test_roulette_respin_equals_a_full_rebuild(weights, data, seed, shared):
+    """Whatever draws are refused, selection returns the pick the full
+    rebuild returns and leaves the RNG where it leaves it; a shared wheel is
+    left as it was."""
+    ranked = list(range(20, 20 + len(weights)))
+    probabilities = dict(zip(ranked, weights))
+    if data is None:   # an explicit example: refuse all but the last candidate
+        refusals = [set(ranked[:-1])] * 4
+    else:
+        refusals = data.draw(st.lists(st.sets(st.sampled_from(ranked)),
+                                      min_size=1, max_size=6))
+    wheel = roulette_wheel(ranked, probabilities) if shared else None
+    kept = copy.deepcopy(wheel)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for refused in refusals:
+        admissible = lambda cid: cid not in refused
+        got = select_next_hop(ranked, admissible, "stochastic_roulette", probabilities,
+                              rng, wheel)
+        assert got == rebuilding_roulette(ranked, admissible, probabilities, ref)
+        assert rng.getstate() == ref.getstate()
+    assert wheel == kept
 
 
 def one_link_step(tau, rho, n_ij, d_ij, deposit_scale=1.0, tau_floor=1e-6):

@@ -352,8 +352,18 @@ class TestEvidenceRecords:
         assert (link.packets_sent, link.acks_received, link.mean_latency()) == (2, 1, 3.0)
 
     def test_negative_latency_fails_at_record(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            TrustStats().record_latency(0, 1, -1.0)
+        # NaN is no sample either: it would make the link's mean NaN for good
+        for value in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                TrustStats().record_latency(0, 1, value)
+            with pytest.raises(ValueError, match="non-negative"):
+                TrustStats().record_trail([0, 1, 2], value)
+        stats = TrustStats()
+        stats.record_latency(0, 1, 1.0)
+        with pytest.raises(ValueError):
+            stats.record_latency(0, 1, math.nan)
+        stats.commit()
+        assert stats.link(0, 1).mean_latency() == 1.0
 
     def test_engine_run_stores_only_links_with_evidence(self):
         from test_golden import case_simulation
