@@ -29,7 +29,7 @@ from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
-from .routing import (PheromoneTable, assign_levels, hops_from, live_adjacency,
+from .routing import (PheromoneTable, assign_levels, hops_from, left_sum, live_adjacency,
                       rank_by_probability, roulette_wheel, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
@@ -173,12 +173,13 @@ class Simulation:
         self.ack_bits = int(round(cfg.ack_size_fraction * cfg.packet_size_bits))
         self.latency_penalty = cfg.effective_latency_penalty()
         # radio costs: receiving is the same on every link, and sending a
-        # packet over a link is worked out at the link's first use. An ack's
-        # transmit cost is worked out per ack: memoised as well, it took the
-        # memo of an 800-node, 1000-cycle run from 281 to 531 kB
+        # packet and an ack over a link are worked out at the link's first
+        # use, as (packet, ack) under the receiver in the sender's row. An
+        # 800-node, 1000-cycle tc_aco run uses 3,120 links, and the memo
+        # holds 381 kB (206 kB with the packet cost alone)
         self._rx_packet = radio.rx_cost(self.packet_bits, cfg)
         self._rx_ack = radio.rx_cost(self.ack_bits, cfg)
-        self._tx_costs: list[Optional[dict[int, float]]] = [None] * n
+        self._tx_costs: list[Optional[dict[int, tuple[float, float]]]] = [None] * n
 
         # every trust value and verdict, read as of step 8 of the last cycle,
         # and the evidence the cycle records
@@ -306,28 +307,32 @@ class Simulation:
         each candidate's trust is read once."""
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
-        levels = self.levels
+        needs_trust, trust_filter = self.needs_trust, self.trust_filter
+        levels, bs = self.levels, self.bs
         reads = self.trust
-        th = reads.threshold
+        link, malicious, th = reads.link, reads.malicious, reads.threshold
+        congestion_index = self.flow.congestion_index
+        distances = self.topology.distances[i]
         taus = self.pheromone.row(i) if self.needs_pheromone else None
+        next_level = level_i + 1
         out = []
         for j in self.topology.adjacency[i]:
-            if j == self.bs:
+            if j == bs:
                 ci_j = 0.0
-                t_ij = reads.link(i, j) if use_tcm else 1.0
+                t_ij = link(i, j) if use_tcm else 1.0
             else:
-                if levels[j] != level_i + 1:
+                if levels[j] != next_level:
                     continue
-                t_ij = reads.link(i, j) if self.needs_trust else 1.0
-                if self.trust_filter and (not t_ij > th or reads.malicious(j)):
+                t_ij = link(i, j) if needs_trust else 1.0
+                if trust_filter and (not t_ij > th or malicious(j)):
                     continue
                 # flow rows change only at the end of a cycle; only tc_aco
                 # scores congestion, and its trust filter has passed j
-                ci_j = self.flow.congestion_index(j) if use_tcm else 0.0
+                ci_j = congestion_index(j) if use_tcm else 0.0
             tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = taus[j] if taus is not None else 1.0
-            out.append((j, tc, self.topology.distances[i][j], tau))
+            out.append((j, tc, distances[j], tau))
         return out
 
     def _admissible(self, j: int) -> bool:
@@ -338,33 +343,36 @@ class Simulation:
         return (self.energy[j] >= cfg.energy_threshold
                 and len(self.queues[j]) < cfg.queue_capacity)
 
-    def _packet_cost(self, i: int, j: int) -> float:
-        """The transmit cost of a packet over i->j, memoised at the link's
-        first use."""
+    def _link_costs(self, i: int, j: int) -> tuple[float, float]:
+        """The transmit costs of a packet and of an ack over i->j, memoised
+        at the link's first use."""
         row = self._tx_costs[i]
         if row is None:
             row = self._tx_costs[i] = {}
-        cost = row.get(j)
-        if cost is None:
-            cost = row[j] = radio.tx_cost(self.packet_bits, self.topology.distances[i][j],
-                                          self.cfg)
-        return cost
+        costs = row.get(j)
+        if costs is None:
+            d, cfg = self.topology.distances[i][j], self.cfg
+            costs = row[j] = (radio.tx_cost(self.packet_bits, d, cfg),
+                              radio.tx_cost(self.ack_bits, d, cfg))
+        return costs
 
     def _transmit(self, i: int, p: Packet, j: int) -> bool:
         """Radio one packet from i to j; True when j acknowledged it.
 
         An unacknowledged transfer leaves the packet with the sender: the
         radio energy is spent on both ends, but the payload never arrived
-        anywhere it can progress from. The caller counts the transfer in the
-        cycle's ledger.
+        anywhere it can progress from. The caller counts the transfer, and
+        whether it went unacknowledged, in the cycle's ledger.
         """
         cfg = self.cfg
         row = self._tx_costs[i]
-        cost = row.get(j) if row is not None else None
-        radio.debit(self.energy, i, cost if cost is not None else self._packet_cost(i, j))
+        costs = row.get(j) if row is not None else None
+        if costs is None:
+            costs = self._link_costs(i, j)
+        radio.debit(self.energy, i, costs[0])
 
         if j == self.bs:
-            p.record_hop(j)
+            p.hop_trail.append(j)
             if p.fake:
                 self._finish(p, DROPPED_MALICIOUS)
             else:
@@ -382,16 +390,13 @@ class Simulation:
 
         if behavior is not None and behavior.behavior == "drop":
             if self.rng.random() < behavior.p:
-                # an unacknowledged transfer never completed: unbounded latency
-                self.stats.record_latency(i, j, math.inf)
                 return False
 
         if self.ack_bits:
-            radio.debit(self.energy, j,
-                        radio.tx_cost(self.ack_bits, self.topology.distances[i][j], cfg))
+            radio.debit(self.energy, j, costs[1])
             radio.debit(self.energy, i, self._rx_ack)
 
-        p.record_hop(j)
+        p.hop_trail.append(j)
         if behavior is not None and behavior.behavior == "delay":
             p.held_until = self.cycle + behavior.extra
         queue = self.queues[j]
@@ -414,7 +419,8 @@ class Simulation:
     def _forward_from(self, i: int, level_i: int) -> None:
         cfg = self.cfg
         queue = self.queues[i]
-        if not queue or self.energy[i] < cfg.energy_threshold:
+        energy, threshold = self.energy, cfg.energy_threshold
+        if not queue or energy[i] < threshold:
             return
         candidates = self._scored_candidates(i, level_i)
         if not candidates:
@@ -423,10 +429,17 @@ class Simulation:
         ranked = rank_by_probability(probabilities)
         # the candidate set is fixed for this call, so every selection's
         # first roulette draw spins one wheel
-        wheel = (roulette_wheel(ranked, probabilities)
-                 if cfg.forwarding_mode == "stochastic_roulette" else None)
+        rank_mode = cfg.forwarding_mode == "deterministic_rank"
+        wheel = None if rank_mode else roulette_wheel(ranked, probabilities)
         limit = cfg.per_cycle_forward_limit
         max_attempts = cfg.max_transfer_attempts
+        transmit, admissible = self._transmit, self._admissible
+        # in rank mode the pick holds while it stays admissible: during i's
+        # turn only i's transfers touch its candidates, and they only fill
+        # queues and drain batteries, so a candidate refused once stays
+        # refused and the first admissible one in the ranking can only move
+        # later. Roulette draws afresh on every attempt
+        kept = None
 
         cycle = self.cycle
         forwarded = 0
@@ -446,15 +459,18 @@ class Simulation:
                 # memory of refusals, so shaking off a bad hop is the trust
                 # layer's job
                 while True:
-                    if self.energy[i] < cfg.energy_threshold:
+                    if energy[i] < threshold:
                         return
-                    j = select_next_hop(ranked, self._admissible, cfg.forwarding_mode,
-                                        probabilities, self.rng, wheel)
-                    if j is None:
-                        # nothing admissible now; this and later packets keep aging
-                        return
+                    if rank_mode and kept is not None and admissible(kept):
+                        j = kept
+                    else:
+                        j = kept = select_next_hop(ranked, admissible, cfg.forwarding_mode,
+                                                   probabilities, self.rng, wheel)
+                        if j is None:
+                            # nothing admissible now; this and later packets keep aging
+                            return
                     sent[j] = sent.get(j, 0) + 1
-                    if self._transmit(i, p, j):
+                    if transmit(i, p, j):
                         queue.remove(p)
                         forwarded += 1
                         break
@@ -484,17 +500,22 @@ class Simulation:
                     self.stats.record_latency(trail[-2], trail[-1], self.latency_penalty)
 
     def _recompute_trust(self) -> None:
-        """Hand the ledger's sends and acks to the evidence as per-link
-        counts, commit the cycle's evidence and hand the reader the snapshot
-        it reads until the next step 8: the cycle's levels and a copy of the
-        energies as they stand, the sink last and energy-unbounded. Nothing
-        is blended here."""
+        """Hand the ledger's sends, acks and unacknowledged transfers to the
+        evidence as per-link counts, each unacknowledged transfer as an
+        unbounded latency sample; commit the cycle's evidence and hand the
+        reader the snapshot it reads until the next step 8: the cycle's
+        levels and a copy of the energies as they stand, the sink last and
+        energy-unbounded. Nothing is blended here."""
         stats, lost_now = self.stats, self._lost_now
         for i, sent in self._sent_now.items():
             lost = lost_now.get(i)
             for j, n in sent.items():
                 stats.record_send(i, j, n)
-                stats.record_ack(i, j, n - lost.get(j, 0) if lost else n)
+                n_lost = lost.get(j, 0) if lost else 0
+                stats.record_ack(i, j, n - n_lost)
+                if n_lost:
+                    # an unacknowledged transfer never completed
+                    stats.record_latency(i, j, math.inf, n_lost)
         self.trust.take(self.levels, [*self.energy, self.cfg.initial_energy])
 
     def run_cycle(self) -> CycleStats:
@@ -539,8 +560,8 @@ class Simulation:
                     break
                 k = self.rng.choice(victims)
                 fake = self._new_packet(f_id, fake=True)
-                fake.record_hop(k)
-                radio.debit(self.energy, f_id, self._packet_cost(f_id, k))
+                fake.hop_trail.append(k)
+                radio.debit(self.energy, f_id, self._link_costs(f_id, k)[0])
                 radio.debit(self.energy, k, self._rx_packet)
                 self._inflow_now[k] = self._inflow_now.get(k, 0) + 1
                 if enqueue(self.queues[k], fake, self.cycle, cfg.queue_capacity):
@@ -600,7 +621,7 @@ class Simulation:
             self._live = live_adjacency(self.topology, alive)
             self._source_pool = self._levels_source = None
         row.dead_nodes = dead
-        row.total_energy_j = sum(self.energy)
+        row.total_energy_j = left_sum(self.energy)
         row.in_flight = self._in_flight
         self.metric_rows.append(row)
         return row

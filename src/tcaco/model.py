@@ -36,9 +36,6 @@ class Packet:
         self.fake = fake
         self.transfer_failures = 0
 
-    def record_hop(self, node_id: int) -> None:
-        self.hop_trail.append(node_id)
-
     def resolve(self, fate: str) -> None:
         """Move to a terminal fate; transitions are monotone (exactly one)."""
         if self.fate != IN_FLIGHT:

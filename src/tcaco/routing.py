@@ -96,6 +96,19 @@ def trust_congestion_metric(t_ij: float, ci_j: float, alpha: float,
     return alpha * (1.0 - ci_j) + (1.0 - alpha) * t_ij
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from 0.0.
+
+    These are the bits CPython 3.11's ``sum`` gives; from 3.12 on the
+    builtin compensates for rounding, so every float sum that reaches an
+    output is taken here and the outputs are the same on every version.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def transition_probabilities(candidates: Sequence[tuple[int, float, float, float]],
                              beta1: float, beta2: float, beta3: float,
                              ) -> dict[int, float]:
@@ -112,7 +125,7 @@ def transition_probabilities(candidates: Sequence[tuple[int, float, float, float
         if tau <= 0:
             raise ValueError("candidate pheromone must be positive")
         weights.append((tc ** beta1) * ((1.0 / d) ** beta2) * (tau ** beta3))
-    total = sum(weights)
+    total = left_sum(weights)
     if total <= 0.0:
         uniform = 1.0 / len(candidates)
         return {cid: uniform for cid, _, _, _ in candidates}
@@ -127,9 +140,10 @@ def rank_by_probability(probabilities: dict[int, float]) -> list[int]:
 def roulette_wheel(pool: Sequence[int], probabilities: dict[int, float],
                    ) -> tuple[list[float], float]:
     """A roulette draw's table over ``pool``: the running sums of the
-    candidates' probabilities in pool order, and their total."""
-    weights = [probabilities[cid] for cid in pool]
-    return list(accumulate(weights)), sum(weights)
+    candidates' probabilities in pool order, and their total, the last
+    running sum (0.0 for an empty pool)."""
+    cum = list(accumulate(probabilities[cid] for cid in pool))
+    return cum, (cum[-1] if cum else 0.0)
 
 
 def select_next_hop(ranked: Sequence[int],
@@ -182,7 +196,7 @@ def select_next_hop(ranked: Sequence[int],
         # a new list: a shared wheel is never written
         cum = ([*cum[:idx - 1], *accumulate(weights[idx:], initial=cum[idx - 1])]
                if idx else list(accumulate(weights)))
-        total = sum(weights)
+        total = cum[-1] if cum else 0.0
     return None
 
 

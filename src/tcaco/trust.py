@@ -8,12 +8,17 @@ nothing.
 
 ``TrustStats`` buffers a cycle's evidence as it is recorded and applies it
 when the engine commits it at the end of the cycle; every read sees
-committed evidence only. Sends and acks arrive at that step 8 as per-link
-counts from the engine's ledger of the cycle's transfers; latency arrives
-as it happens, one record per delivery for the packet's whole trail and one
-per failed transfer or timeout. As it commits, it indexes each node's
-senders and each node's timed receivers (the links with latency evidence),
-so a read walks only links with evidence, never a whole neighbour row.
+committed evidence only. Sends, acks and lost transfers arrive at that
+step 8 as per-link counts from the engine's ledger of the cycle's
+transfers, a link's lost transfers as that many unbounded latency samples;
+other latency arrives as it happens, one record per delivery for the
+packet's whole trail and one per timeout. A sample is never negative or
+NaN, so once a link's latency sum is unbounded it stays so, whatever lands
+before or after: handing the lost transfers over at step 8 gives the bits
+that recording each as it happened gives. As it commits, it indexes each
+node's senders and each node's timed receivers (the links with latency
+evidence), so a read walks only links with evidence, never a whole
+neighbour row.
 
 ``TrustReads`` is the one reader of that evidence, held by the engine as
 ``Simulation.trust``. At the end of every cycle, for every protocol, it
@@ -22,9 +27,10 @@ value it reads comes from the two. ``latency_scores`` is the one
 computation of a row's latency scores, and ``components`` the one
 computation of a link's other components and its blend; ``blend`` is the
 weighted mean, under weights ``trust_weights`` checks once per simulation.
-``link`` and ``malicious`` serve routing, and ``rows`` the trust dump and
-the tests. The tests hold independent per-link references for the three
-metrics and the full node verdict, and compare the reader against them.
+``link`` and ``malicious`` serve routing, each verdict made once per
+snapshot, and ``rows`` the trust dump and the tests. The tests hold
+independent per-link references for the three metrics and the full node
+verdict, and compare the reader against them.
 """
 
 from __future__ import annotations
@@ -78,12 +84,14 @@ class TrustStats:
     stores nothing.
 
     Sends and acks are recorded as counts per link, ``record_send(i, j, n)``
-    and ``record_ack(i, j, n)``; the engine hands over each cycle's counts
-    from its ledger at step 8. ``record_trail`` buffers one latency sample
-    for every link of a trail, so a delivery makes one record, and
-    ``record_latency`` is a trail of one link; ``commit`` expands a trail at
-    its place in the buffer, link by link, so each link adds its samples in
-    the order they were recorded.
+    and ``record_ack(i, j, n)``, and so are lost transfers,
+    ``record_latency(i, j, math.inf, n)``; the engine hands over each
+    cycle's counts from its ledger at step 8. ``record_trail`` buffers one
+    latency sample for every link of a trail, so a delivery makes one
+    record, and ``record_latency`` is a trail of one link whose sample
+    counts ``n`` times; ``commit`` expands a trail at its place in the
+    buffer, link by link, and adds a counted sample one at a time, so each
+    link adds its samples in the order they were recorded.
 
     ``commit`` also keeps two indexes of the committed evidence, with an
     entry only for a node that has one: ``senders[j]`` lists each k whose
@@ -93,7 +101,7 @@ class TrustStats:
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
-        # (kind, i, j, count) for sends and acks, (kind, trail, None, value)
+        # (kind, i, j, count) for sends and acks, (kind, trail, count, value)
         # for latency
         self._pending: list[tuple] = []
         self.senders: dict[int, list[int]] = {}
@@ -108,31 +116,38 @@ class TrustStats:
     def record_ack(self, i: int, j: int, n: int = 1) -> None:
         self._pending.append((_ACK, i, j, n))
 
-    def record_latency(self, i: int, j: int, value: float) -> None:
-        self.record_trail((i, j), value)
+    def record_latency(self, i: int, j: int, value: float, n: int = 1) -> None:
+        """``n`` latency samples ``value`` on the link i->j."""
+        self.record_trail((i, j), value, n)
 
-    def record_trail(self, trail: Sequence[int], value: float) -> None:
-        """One latency sample ``value`` on each link of ``trail``. The trail
-        is kept, not copied, so the caller leaves it unchanged until the next
-        ``commit``."""
+    def record_trail(self, trail: Sequence[int], value: float, n: int = 1) -> None:
+        """``n`` latency samples ``value`` on each link of ``trail``. The
+        trail is kept, not copied, so the caller leaves it unchanged until
+        the next ``commit``."""
         if not value >= 0:
             raise ValueError("latency samples must be non-negative")
-        self._pending.append((_LATENCY, trail, None, value))
+        if n < 1:
+            raise ValueError("a latency record holds at least one sample")
+        self._pending.append((_LATENCY, trail, n, value))
 
     def commit(self) -> None:
         """Apply the buffered evidence in the order it was recorded."""
         links, senders, timed = self._links, self.senders, self.timed
         for kind, i, j, value in self._pending:
             if kind == _LATENCY:
-                trail = i
+                trail, n = i, j
                 for i, j in pairwise(trail):
                     s = links.get((i, j))
                     if s is None:
                         s = links[(i, j)] = LinkStats()
                     if not s.latency_count:
                         insort(timed.setdefault(i, []), j)
-                    s.latency_count += 1
-                    s.latency_sum += value
+                    s.latency_count += n
+                    if n == 1:
+                        s.latency_sum += value
+                    else:
+                        for _ in range(n):
+                            s.latency_sum += value
                 continue
             s = links.get((i, j))
             if s is None:
@@ -176,10 +191,10 @@ class TrustReads:
     evidence and replaces the snapshot that every read sees until the next
     ``take``: ``levels`` and ``energies``, indexed by endpoint id with the
     sink last. Before the first, no node has a level and every battery is
-    full, so every link reads 1.0. A row's latency scores are derived at
-    most once per snapshot, when a read first needs them; ``rows`` derives
-    them afresh, so it stays the full computation of what ``link`` and
-    ``malicious`` read.
+    full, so every link reads 1.0. A row's latency scores and a node's
+    verdict are derived at most once per snapshot, when a read first needs
+    them; ``rows`` derives the scores afresh, so it stays the full
+    computation of what ``link`` and ``malicious`` read.
     """
 
     def __init__(self, cfg: SimConfig, adjacency: Sequence[Sequence[int]]):
@@ -196,6 +211,7 @@ class TrustReads:
         self.levels: Sequence = (None,) * (n + 1)
         self.energies: Sequence[float] = [cfg.initial_energy] * (n + 1)
         self._scores: dict[int, dict[int, float]] = {}
+        self._verdicts: dict[int, bool] = {}
 
     def take(self, levels: Sequence, energies: Sequence[float]) -> None:
         """Commit the buffered evidence and read from ``levels`` and
@@ -203,6 +219,7 @@ class TrustReads:
         self.stats.commit()
         self.levels, self.energies = levels, energies
         self._scores = {}
+        self._verdicts = {}
 
     def latency_scores(self, i: int) -> dict[int, float]:
         """Latency score of each neighbor j of i with latency evidence on
@@ -257,7 +274,7 @@ class TrustReads:
     def components(self, i: int, j: int, pl: float) -> tuple[float, float, float]:
         """Trust components ``(ne, ptr, t_ij)`` of the link (i, j) with
         latency score ``pl``: the one place a link is blended."""
-        link = self.stats.link(i, j)
+        link = self.stats._links.get((i, j), _NO_EVIDENCE)
         energies = self.energies
         ne = ((energies[i] + energies[j]) / 2.0) / self.e_init
         ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
@@ -274,15 +291,20 @@ class TrustReads:
     def malicious(self, j: int) -> bool:
         """Verdict on node j: some node has sent to it, and none of those
         senders' links to it is trustworthy. The walk covers j's senders
-        only and stops at the first trustworthy link."""
-        senders = self.stats.senders.get(j)
-        if senders is None:
-            return False
-        th = self.threshold
-        for k in senders:
-            if self.link(k, j) > th:
-                return False
-        return True
+        only, stops at the first trustworthy link, and is made at most once
+        per snapshot."""
+        verdict = self._verdicts.get(j)
+        if verdict is None:
+            senders = self.stats.senders.get(j)
+            verdict = senders is not None
+            if verdict:
+                th = self.threshold
+                for k in senders:
+                    if self.link(k, j) > th:
+                        verdict = False
+                        break
+            self._verdicts[j] = verdict
+        return verdict
 
     def rows(self):
         """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link

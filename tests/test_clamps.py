@@ -65,18 +65,19 @@ def test_hot_paths_call_no_builtin_min_or_max(path, qualname):
 
 
 def test_transmit_records_no_sends_acks_or_receive_costs():
-    """A transfer costs one ledger increment in ``_forward_from``: sends and
-    acks reach the trust evidence as per-link counts at step 8, and the
-    receive costs are worked out once per simulation."""
-    banned = {"record_send", "record_ack", "rx_cost"}
+    """A transfer costs one ledger increment in ``_forward_from``: sends,
+    acks and lost transfers reach the trust evidence as per-link counts at
+    step 8, the receive costs are worked out once per simulation and the
+    transmit costs once per used link."""
+    banned = {"record_send", "record_ack", "record_latency", "rx_cost", "tx_cost"}
     calls = [(name, n.lineno) for n in ast.walk(function_node("engine.py",
                                                               "Simulation._transmit"))
              if isinstance(n, ast.Call)
              and (name := getattr(n.func, "attr", getattr(n.func, "id", None))) in banned]
     assert not calls, (
         f"Simulation._transmit calls {calls}: it runs per transfer; count the "
-        "transfer in the cycle's ledger and read the receive costs worked out "
-        "in Simulation.__init__")
+        "transfer in the cycle's ledger and read the radio costs worked out "
+        "in Simulation.__init__ and at a link's first use")
 
 
 @settings(max_examples=300, deadline=None)

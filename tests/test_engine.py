@@ -792,6 +792,29 @@ class TestTrustReadsAtCycleStart:
             flagged += any(flag for _, flag in read_v)
         assert reads and flagged
 
+    @pytest.mark.parametrize("protocol", ["tc_aco", "trust_greedy"])
+    def test_verdicts_kept_through_the_cycle_equal_the_reference(self, protocol):
+        """A verdict is made once per snapshot and kept until the next: at
+        step 8, the verdicts routing made during the cycle, read again with
+        every other node's, equal ``classify`` over the snapshot they were
+        made from."""
+        cfg = SimConfig(**self.CFG)
+        sim = Simulation(cfg, protocol=protocol, seed=4)
+        recompute, reference, kept = sim._recompute_trust, {}, []
+
+        def checked_recompute():
+            kept.append(len(sim.trust._verdicts))
+            assert node_class(sim) == reference, sim.cycle
+            recompute()
+
+        sim._recompute_trust = checked_recompute
+        while sim.cycle < cfg.max_cycles:
+            reference.clear()
+            reference.update(classify(all_trust(sim), sim.stats, cfg.trust_threshold,
+                                      cfg.node_count))
+            sim.run_cycle()
+        assert len(kept) == cfg.max_cycles and sum(kept) > cfg.max_cycles
+
     def test_row_scores_are_derived_at_most_once_between_snapshots(self, monkeypatch):
         """Between two ``take`` calls, the reads derive each row's latency
         scores at most once: the one memo the reader keeps."""

@@ -10,11 +10,16 @@ Run this module as a script to record goldens that do not exist yet;
 existing files are never overwritten.
 """
 
+import builtins
+import importlib
+import math
 import os
+import pkgutil
 from functools import partial
 
 import pytest
 
+import tcaco
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import PROTOCOLS, Simulation
 from tcaco.output import per_cycle_csv_text, route_dump_text, trust_dump_text
@@ -97,6 +102,32 @@ def test_trust_dump_matches_golden():
 
 def test_route_dump_matches_golden():
     assert route_dump_golden_text() == read_golden(ROUTE_DUMP_GOLDEN)
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as CPython 3.12 and later give it, near enough to tell: float
+    sums compensated for rounding (here, rounded once), integer sums exact."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values) and isinstance(start, int):
+        return builtins.sum(values, start)
+    return math.fsum([start, *values])
+
+
+def test_goldens_hold_under_a_compensated_sum(monkeypatch):
+    """The goldens do not depend on how the interpreter's ``sum`` rounds:
+    with every ``sum`` in the package compensated, as from CPython 3.12 on,
+    every golden is still matched, so a float sum that reaches an output
+    must add left to right (``routing.left_sum``)."""
+    for info in pkgutil.iter_modules(tcaco.__path__):
+        module = importlib.import_module(f"tcaco.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    differ = [name for name in sorted(CASES)
+              if case_csv_text(name) != read_golden(f"{name}.csv")]
+    if trust_dump_golden_text() != read_golden(TRUST_DUMP_GOLDEN):
+        differ.append(TRUST_DUMP_GOLDEN)
+    if route_dump_golden_text() != read_golden(ROUTE_DUMP_GOLDEN):
+        differ.append(ROUTE_DUMP_GOLDEN)
+    assert not differ
 
 
 def record_missing() -> None:

@@ -5,16 +5,19 @@ import math
 from bisect import insort
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
+from tcaco import engine
 from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLARITIES,
                           SOURCE_POLICIES, FaultSpec, SimConfig)
 from tcaco.engine import PROTOCOLS, Simulation, SourceDead
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, TERMINAL_FATES
-from tcaco.routing import assign_levels, hops_from, live_adjacency
+from tcaco.routing import (assign_levels, hops_from, live_adjacency, rank_by_probability,
+                           select_next_hop)
 from tcaco.topology import DisconnectedNetwork, build_topology
 
 from test_engine import all_trust, conserved_totals, route_lines
@@ -181,6 +184,53 @@ def test_ledger_evidence_equals_transfer_by_transfer(protocol, cfg):
         assert got == shadow.evidence(), sim.cycle
         assert stats.senders == shadow.senders, sim.cycle
         assert stats.timed == shadow.timed, sim.cycle
+
+
+# rank mode under the faults that touch a receiver's queue or battery, a
+# forward limit, and batteries a few transfers above the energy threshold
+kept_pick_configs = st.builds(
+    replace, configs,
+    forwarding_mode=st.just("deterministic_rank"),
+    fault_spec=st.tuples(*(FAULTS[kind] for kind in ("delay", "drop", "duplicate"))),
+    initial_energy=st.sampled_from([0.0102, 0.0105, 0.011, 0.013]),
+    per_cycle_forward_limit=st.integers(1, 6))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=40, deadline=None)
+@given(kept_pick_configs)
+def test_rank_mode_transfers_to_the_first_admissible_candidate(protocol, cfg):
+    """In rank mode every transfer goes where ``select_next_hop`` over the
+    turn's ranking points as it is made, although the engine keeps its last
+    pick while that stays admissible; and no candidate refused during a
+    turn is admissible again in it."""
+    try:
+        sim = Simulation(cfg, protocol=protocol)
+    except DisconnectedNetwork:
+        assume(False)
+    turn = {"ranking": [], "refused": set()}
+    transmit = sim._transmit
+
+    def shadow_rank(probabilities):
+        turn["ranking"] = rank_by_probability(probabilities)
+        turn["refused"] = set()
+        return turn["ranking"]
+
+    def shadow_transmit(i, p, j):
+        ranking = turn["ranking"]
+        assert select_next_hop(ranking, sim._admissible) == j, (sim.cycle, i)
+        refused = {k for k in ranking if not sim._admissible(k)}
+        assert turn["refused"] <= refused, (sim.cycle, i)
+        turn["refused"] = refused
+        return transmit(i, p, j)
+
+    sim._transmit = shadow_transmit
+    with mock.patch.object(engine, "rank_by_probability", shadow_rank):
+        while sim.cycle < cfg.max_cycles:
+            try:
+                sim.run_cycle()
+            except (SourceDead, DisconnectedNetwork):
+                break
 
 
 @settings(max_examples=100, deadline=None)

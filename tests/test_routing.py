@@ -2,13 +2,15 @@
 
 import bisect
 import copy
+import math
 import random
+import sys
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcaco.routing import (PheromoneTable, assign_levels, live_adjacency,
+from tcaco.routing import (PheromoneTable, assign_levels, left_sum, live_adjacency,
                            rank_by_probability, roulette_wheel, select_next_hop,
                            transition_probabilities, trust_congestion_metric)
 from tcaco.topology import DisconnectedNetwork, build_topology
@@ -191,8 +193,8 @@ def rebuilding_roulette(ranked, admissible, probabilities, rng):
     remaining pool after every refused draw."""
     pool = list(ranked)
     while pool:
-        weights = [probabilities[cid] for cid in pool]
-        cum, total = list(accumulate(weights)), sum(weights)
+        cum = list(accumulate(probabilities[cid] for cid in pool))
+        total = cum[-1]
         if total <= 0.0:
             idx = 0
         else:
@@ -236,6 +238,41 @@ def test_roulette_respin_equals_a_full_rebuild(weights, data, seed, shared):
         assert got == rebuilding_roulette(ranked, admissible, probabilities, ref)
         assert rng.getstate() == ref.getstate()
     assert wheel == kept
+
+
+# the float sums CPython 3.11's ``sum`` gives, by ``float.hex``; 3.12 and
+# later give 0x1.0000000000000p+0 and 0x1.0000000000001p+0 for the last two
+SUMS_OF_3_11 = [
+    ([], "0x0.0p+0"),
+    ([-0.0], "0x0.0p+0"),                  # a -0.0 first term
+    ([-0.0, -0.0], "0x0.0p+0"),
+    ([0.0, 0.0, 0.0], "0x0.0p+0"),
+    ([-0.0, 1.0], "0x1.0000000000000p+0"),
+    ([SUBNORMAL, SUBNORMAL, -SUBNORMAL], "0x0.0000000000001p-1022"),
+    ([2.2250738585072014e-308, -SUBNORMAL], "0x0.fffffffffffffp-1022"),
+    ([math.inf, 1.0], "inf"),
+    ([-math.inf, 1.0], "-inf"),
+    ([math.inf, -math.inf], "nan"),
+    ([math.nan, 1.0], "nan"),
+    ([1.0, math.nan], "nan"),
+    ([1e308, 1e308], "inf"),
+    ([0.1] * 10, "0x1.fffffffffffffp-1"),
+    ([1.0, 1e-16, 1e-16], "0x1.0000000000000p+0"),
+]
+
+
+@pytest.mark.parametrize("values,expected", SUMS_OF_3_11)
+def test_left_sum_gives_the_sums_of_3_11(values, expected):
+    assert left_sum(values).hex() == expected
+    assert left_sum(iter(values)).hex() == expected
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum compensates from 3.12 on")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-0.0, SUBNORMAL, math.inf, -math.inf, math.nan]),
+                          st.floats()), max_size=8))
+def test_left_sum_equals_the_builtin_sum_before_3_12(values):
+    assert left_sum(values).hex() == float(sum(values)).hex()
 
 
 def one_link_step(tau, rho, n_ij, d_ij, deposit_scale=1.0, tau_floor=1e-6):

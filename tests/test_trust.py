@@ -357,13 +357,50 @@ class TestEvidenceRecords:
             with pytest.raises(ValueError, match="non-negative"):
                 TrustStats().record_latency(0, 1, value)
             with pytest.raises(ValueError, match="non-negative"):
+                TrustStats().record_latency(0, 1, value, 3)
+            with pytest.raises(ValueError, match="non-negative"):
                 TrustStats().record_trail([0, 1, 2], value)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one"):
+                TrustStats().record_latency(0, 1, 1.0, n)
         stats = TrustStats()
         stats.record_latency(0, 1, 1.0)
         with pytest.raises(ValueError):
             stats.record_latency(0, 1, math.nan)
         stats.commit()
         assert stats.link(0, 1).mean_latency() == 1.0
+
+    @given(st.lists(st.floats(min_value=0.0), max_size=6),
+           st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=6),
+           st.integers(1, 5), st.data())
+    @example(committed=[], finite=[1e308, 1e308], n=2, data=None)  # the sum overflows
+    @example(committed=[], finite=[], n=3, data=None)
+    def test_counted_unbounded_samples_equal_single_records(self, committed, finite, n,
+                                                            data):
+        """``n`` unbounded samples handed over as one count give the link,
+        bit for bit, that ``n`` single records give wherever they fall among
+        the commit's finite samples, after earlier commits of any samples."""
+        places = (data.draw(st.lists(st.integers(0, len(finite)), min_size=n, max_size=n))
+                  if data is not None else [0] * n)
+        single, counted = TrustStats(), TrustStats()
+        for stats in (single, counted):
+            for value in committed:
+                stats.record_latency(0, 1, value)
+            stats.commit()
+        for k in range(len(finite) + 1):
+            for _ in range(places.count(k)):
+                single.record_latency(0, 1, math.inf)
+            if k < len(finite):
+                single.record_latency(0, 1, finite[k])
+                counted.record_latency(0, 1, finite[k])
+        counted.record_latency(0, 1, math.inf, n)
+        single.commit()
+        counted.commit()
+        got, want = counted.link(0, 1), single.link(0, 1)
+        assert (got.latency_count, got.latency_sum.hex()) == (want.latency_count,
+                                                               want.latency_sum.hex())
+        assert got.latency_count == len(committed) + len(finite) + n
+        assert counted.timed == single.timed == {0: [1]}
 
     def test_engine_run_stores_only_links_with_evidence(self):
         from test_golden import case_simulation
