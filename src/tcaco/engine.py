@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -29,8 +30,8 @@ from . import energy as radio
 from .config import FaultSpec, SimConfig, validate_config
 from .congestion import FlowHistory, enqueue, tick_wait_and_drop
 from .model import DELIVERED, DROPPED_MALICIOUS, DROPPED_OVERFLOW, DROPPED_TIMEOUT, Packet
-from .routing import (PheromoneTable, assign_levels, hops_from, left_sum, live_adjacency,
-                      rank_by_probability, roulette_wheel, select_next_hop,
+from .routing import (PheromoneTable, assign_levels, hops_from, left_sum, level_form,
+                      live_adjacency, rank_by_probability, roulette_wheel, select_next_hop,
                       transition_probabilities, trust_congestion_metric)
 from .topology import DisconnectedNetwork, Topology, build_topology, euclidean_distance
 from .trust import TrustReads
@@ -202,9 +203,17 @@ class Simulation:
         # holds packets (during a cycle also those it emptied)
         self._in_flight = 0
         self._occupied: set[int] = set()
-        # levels from the source, indexed by endpoint id with the sink last
-        self.levels: Optional[tuple[Optional[int], ...]] = None
+        # levels from the source, indexed by endpoint id with the sink last,
+        # a node the search does not reach at ``_unreached``: a plain list
+        # copied from the cached array when the source moves, as a list
+        # indexes faster than an array
+        self.levels: Optional[list[int]] = None
         self._levels_source: Optional[int] = None
+        self._unreached = level_form(n)[1]
+        # the compact levels of every source searched since the last death,
+        # each an array of n + 1 levels (``routing.level_form``); a death
+        # drops them all, so it holds at most one entry per pool source
+        self._level_cache: dict[int, array] = {}
         self._source_pool: Optional[list[int]] = None
         self.metric_rows: list[CycleStats] = []
         # the forwarding sweep's heap of (level, id), filled by run_cycle and
@@ -296,10 +305,15 @@ class Simulation:
         return self.rng.choice(pool)
 
     def _ensure_levels(self, source: int) -> None:
-        """Levels from ``source``; they hold until the source moves or a node dies."""
+        """Levels from ``source``; they hold until the source moves or a node
+        dies, and a source's search is kept until a node dies."""
         if self._levels_source == source:
             return
-        self.levels = assign_levels(self.topology, source, self._live)
+        levels = self._level_cache.get(source)
+        if levels is None:
+            levels = self._level_cache[source] = assign_levels(self.topology, source,
+                                                               self._live)
+        self.levels = levels.tolist()
         self._levels_source = source
 
     def _scored_candidates(self, i: int, level_i: int):
@@ -572,9 +586,9 @@ class Simulation:
         # 3./4. forwarding sweep, levels ascending, node ids ascending, over
         # the levelled nodes that hold packets: a heap of (level, id) to which
         # _transmit adds each node whose empty queue it fills
-        levels = self.levels
+        levels, unreached = self.levels, self._unreached
         sweep = self._sweep
-        sweep.extend((levels[i], i) for i in occupied if levels[i] is not None)
+        sweep.extend((levels[i], i) for i in occupied if levels[i] != unreached)
         heapify(sweep)
         while sweep:
             level_i, i = heappop(sweep)
@@ -610,7 +624,8 @@ class Simulation:
         self._recompute_trust()
 
         # 9. deaths and metrics; a death cuts links, so the live adjacency is
-        # rebuilt and the source pool and the levels are derived afresh
+        # rebuilt and the source pool and the levels are derived afresh: the
+        # level cache is dropped with them
         dead = self._dead_count
         for k in chain(self._sent_now, self._inflow_now, self._flooders):
             if alive[k] and self.energy[k] < cfg.energy_threshold:
@@ -620,6 +635,7 @@ class Simulation:
             self._dead_count = dead
             self._live = live_adjacency(self.topology, alive)
             self._source_pool = self._levels_source = None
+            self._level_cache = {}
         row.dead_nodes = dead
         row.total_energy_j = left_sum(self.energy)
         row.in_flight = self._in_flight

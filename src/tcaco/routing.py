@@ -12,6 +12,7 @@ set.
 from __future__ import annotations
 
 import bisect
+from array import array
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -57,12 +58,28 @@ def hops_from(live: Sequence[Optional[Sequence[int]]],
     return hops
 
 
+# A node the level search does not reach holds the sentinel of its level
+# array. Every level is at most the node count (the sink is one past the
+# farthest sensor), so a network of fewer than UNREACHED nodes keeps its
+# levels as array('H'), two bytes a node, and a larger one as array('L')
+# with the sentinel UNREACHED_WIDE.
+UNREACHED = 0xFFFF
+UNREACHED_WIDE = 0xFFFFFFFF
+
+
+def level_form(node_count: int) -> tuple[str, int]:
+    """The array typecode the levels of a network of ``node_count`` sensors
+    are kept in, and the sentinel that marks an unreached node."""
+    return ("H", UNREACHED) if node_count < UNREACHED else ("L", UNREACHED_WIDE)
+
+
 def assign_levels(topology: Topology, source: int,
                   live: Optional[Sequence[Optional[Sequence[int]]]] = None,
-                  ) -> tuple[Optional[int], ...]:
+                  ) -> array:
     """Breadth-first hop counts from the source over transmitting nodes,
-    indexed by endpoint id with the sink's level last; None marks a node
-    the search does not reach.
+    indexed by endpoint id with the sink's level last, as the compact array
+    ``level_form`` names; a node the search does not reach holds its
+    sentinel (``UNREACHED`` below 65,535 nodes).
 
     ``live`` is the ``live_adjacency`` of the alive nodes, every node alive
     by default. Dead nodes neither relay nor get a level. The sink's level
@@ -80,7 +97,8 @@ def assign_levels(topology: Topology, source: int,
     if not bs_neighbor_levels:
         raise DisconnectedNetwork("base station unreachable from the source")
     levels.append(min(bs_neighbor_levels) + 1)
-    return tuple(levels)
+    typecode, unreached = level_form(topology.node_count)
+    return array(typecode, [unreached if h is None else h for h in levels])
 
 
 def trust_congestion_metric(t_ij: float, ci_j: float, alpha: float,

@@ -41,6 +41,7 @@ from itertools import pairwise
 from typing import Sequence
 
 from .config import SimConfig
+from .routing import level_form
 
 TRUSTWORTHY = "trustworthy"
 UNTRUSTED = "untrusted"
@@ -190,11 +191,12 @@ class TrustReads:
     ``stats`` is the committed evidence. ``take`` commits the cycle's
     evidence and replaces the snapshot that every read sees until the next
     ``take``: ``levels`` and ``energies``, indexed by endpoint id with the
-    sink last. Before the first, no node has a level and every battery is
-    full, so every link reads 1.0. A row's latency scores and a node's
-    verdict are derived at most once per snapshot, when a read first needs
-    them; ``rows`` derives the scores afresh, so it stays the full
-    computation of what ``link`` and ``malicious`` read.
+    sink last, a node without a level at the sentinel of
+    ``routing.level_form``. Before the first, every node holds the sentinel
+    and every battery is full, so every link reads 1.0. A row's latency
+    scores and a node's verdict are derived at most once per snapshot, when
+    a read first needs them; ``rows`` derives the scores afresh, so it stays
+    the full computation of what ``link`` and ``malicious`` read.
     """
 
     def __init__(self, cfg: SimConfig, adjacency: Sequence[Sequence[int]]):
@@ -208,7 +210,7 @@ class TrustReads:
         self.polarity = cfg.latency_polarity
         # a nominal comparison latency for a row without peers on a level
         self.reference = float(cfg.wc_max)
-        self.levels: Sequence = (None,) * (n + 1)
+        self.levels: Sequence[int] = [level_form(n)[1]] * (n + 1)
         self.energies: Sequence[float] = [cfg.initial_energy] * (n + 1)
         self._scores: dict[int, dict[int, float]] = {}
         self._verdicts: dict[int, bool] = {}
@@ -228,7 +230,8 @@ class TrustReads:
         Each mean latency is compared against the mean of the others on its
         level: the means are summed once per level, in ascending id order
         (the order of an adjacency row, where the sink, id n, comes last),
-        and its own term is taken back out. Without such peers,
+        and its own term is taken back out; the nodes without a level share
+        the sentinel, so they are one group. Without such peers,
         ``reference`` stands in for their mean. Normalized polarity rewards
         nodes faster than their peers, capped at 1, and scores an unbounded
         mean latency (transfers that never completed) 0 outright; literal

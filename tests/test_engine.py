@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from tcaco.engine import (PROTOCOLS, Simulation, SourceDead, dead_needed, deploy
 from tcaco.energy import tx_cost
 from tcaco.model import DROPPED_OVERFLOW, TERMINAL_FATES
 from tcaco.output import route_dump_text
-from tcaco.routing import live_adjacency
+from tcaco.routing import UNREACHED, live_adjacency
 from tcaco.topology import DisconnectedNetwork
 from tcaco.trust import TrustReads, blend, trust_weights
 import random
@@ -318,6 +319,35 @@ class TestRovingSource:
         assert len(start_counts) > 3
         assert len(searches) == len(start_counts)
 
+    def test_levels_are_searched_once_per_source_until_a_node_dies(self, monkeypatch):
+        """Each source's levels are searched once per death epoch, and the
+        cache holds at most one compact array of n + 1 levels per pool
+        source."""
+        from tcaco import engine
+        searches, drawn = [], []
+
+        def counting_assign_levels(*args):
+            searches.append(args[1])
+            return real_assign_levels(*args)
+
+        def checked_ensure_levels(sim, source):
+            # the dead count a cycle starts with names its death epoch
+            drawn.append((source, sim._dead_count))
+            real_ensure_levels(sim, source)
+            cache = sim._level_cache
+            assert source in cache and len(cache) <= len(sim._source_pool), sim.cycle
+            for levels in cache.values():
+                assert isinstance(levels, array) and levels.typecode == "H", sim.cycle
+                assert len(levels) == sim.cfg.node_count + 1, sim.cycle
+
+        real_assign_levels = engine.assign_levels
+        real_ensure_levels = Simulation._ensure_levels
+        monkeypatch.setattr(engine, "assign_levels", counting_assign_levels)
+        monkeypatch.setattr(Simulation, "_ensure_levels", checked_ensure_levels)
+        metrics = Simulation(SimConfig(**DYING), seed=4).run()
+        assert len({dead for _, dead in drawn}) > 3
+        assert len(searches) == len(set(drawn)) < len(drawn) == len(metrics.cycles)
+
     def test_explicit_fault_on_fixed_source_rejected(self):
         cfg = SimConfig(node_count=5, source_node=2, max_cycles=5,
                         bs_position=(40.0, 20.0),
@@ -434,7 +464,7 @@ class TestSweep:
             assert all(held for _, _, held in visits), sim.cycle
             # a queue gains packets only from the level before its own, so one
             # that is not empty now was not empty at its turn either
-            levelled = {i for i, lvl in enumerate(sim.levels[:-1]) if lvl is not None}
+            levelled = {i for i, lvl in enumerate(sim.levels[:-1]) if lvl != UNREACHED}
             skipped = levelled - {i for _, i, _ in visits}
             assert not any(sim.queues[i] for i in skipped), sim.cycle
             totals["visits"] += len(visits)
@@ -622,7 +652,8 @@ class TestKeptCounters:
     """The alive flags, dead count, live adjacency, in-flight count, occupied
     set and flow history that the engine keeps from the nodes each cycle
     touches equal a full recomputation over every node after every cycle,
-    and a death clears the source pool and the levels' source."""
+    and a death clears the source pool, the levels' source and the level
+    cache."""
 
     CASES = {
         "dying": ("tc_aco", DYING),
@@ -654,6 +685,7 @@ class TestKeptCounters:
             assert sim._live == live_adjacency(sim.topology, alive), sim.cycle
             if alive != alive_before:
                 assert sim._source_pool is None and sim._levels_source is None, sim.cycle
+                assert sim._level_cache == {}, sim.cycle
             assert sim._in_flight == row.in_flight == sum(map(len, sim.queues)), sim.cycle
             assert sim._occupied == {k for k, q in enumerate(sim.queues) if q}, sim.cycle
 

@@ -2,6 +2,7 @@
 fault kinds and polarities."""
 
 import math
+from array import array
 from bisect import insort
 from collections import Counter
 from dataclasses import replace
@@ -16,8 +17,8 @@ from tcaco.config import (CONGESTION_POLARITIES, FORWARDING_MODES, LATENCY_POLAR
                           SOURCE_POLICIES, FaultSpec, SimConfig)
 from tcaco.engine import PROTOCOLS, Simulation, SourceDead
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, TERMINAL_FATES
-from tcaco.routing import (assign_levels, hops_from, live_adjacency, rank_by_probability,
-                           select_next_hop)
+from tcaco.routing import (UNREACHED, assign_levels, hops_from, live_adjacency,
+                           rank_by_probability, select_next_hop)
 from tcaco.topology import DisconnectedNetwork, build_topology
 
 from test_engine import all_trust, conserved_totals, route_lines
@@ -255,6 +256,46 @@ def test_kept_trust_equals_the_full_recomputation(cfg, protocol):
                                            cfg.node_count), sim.cycle
 
 
+# batteries a few transfers above the energy threshold, so nodes die
+# mid-run and the cached levels are dropped
+dying_configs = st.builds(
+    replace, configs,
+    initial_energy=st.sampled_from([0.0102, 0.0105, 0.011, 0.013, 0.02]))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("policy", SOURCE_POLICIES)
+@settings(max_examples=30, deadline=None)
+@given(dying_configs)
+def test_cached_levels_equal_a_fresh_search(policy, protocol, cfg):
+    """After every cycle the levels the cycle routed on, which the trust
+    snapshot keeps, equal a fresh search from its source over the live
+    adjacency it started with; and every cached search equals a fresh one
+    over the live adjacency the next cycle starts with."""
+    try:
+        sim = Simulation(replace(cfg, source_policy=policy), protocol=protocol)
+    except DisconnectedNetwork:
+        assume(False)
+    ensure, searched = sim._ensure_levels, {}
+
+    def recorded_ensure(source):
+        ensure(source)
+        searched.update(source=source, live=sim._live)
+
+    sim._ensure_levels = recorded_ensure
+    topology = sim.topology
+    while sim.cycle < cfg.max_cycles:
+        try:
+            sim.run_cycle()
+        except (SourceDead, DisconnectedNetwork):
+            break
+        fresh = assign_levels(topology, searched["source"], searched["live"])
+        assert sim.levels == fresh.tolist(), sim.cycle
+        assert sim.trust.levels is sim.levels, sim.cycle
+        for source, levels in sim._level_cache.items():
+            assert levels == assign_levels(topology, source, sim._live), (sim.cycle, source)
+
+
 def reference_hops(topology, roots, alive):
     """Breadth-first hops over the full adjacency, skipping the sink, dead
     nodes and visited nodes as each neighbour is met."""
@@ -308,4 +349,5 @@ def test_live_adjacency_search_equals_the_filtered_search(graph):
         except DisconnectedNetwork:
             return
         raise AssertionError("a dead source or an unreachable sink got levels")
-    assert assign_levels(topology, source, live) == (*want, min(reached) + 1)
+    want = [UNREACHED if h is None else h for h in want]
+    assert assign_levels(topology, source, live) == array("H", [*want, min(reached) + 1])

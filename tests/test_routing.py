@@ -5,15 +5,17 @@ import copy
 import math
 import random
 import sys
+from array import array
 from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcaco.routing import (PheromoneTable, assign_levels, left_sum, live_adjacency,
-                           rank_by_probability, roulette_wheel, select_next_hop,
-                           transition_probabilities, trust_congestion_metric)
-from tcaco.topology import DisconnectedNetwork, build_topology
+from tcaco.routing import (UNREACHED, UNREACHED_WIDE, PheromoneTable, assign_levels,
+                           left_sum, level_form, live_adjacency, rank_by_probability,
+                           roulette_wheel, select_next_hop, transition_probabilities,
+                           trust_congestion_metric)
+from tcaco.topology import DisconnectedNetwork, Topology, build_topology
 
 
 def chain_topology():
@@ -24,7 +26,7 @@ def chain_topology():
 class TestLevels:
     def test_chain_levels(self):
         # indexed by endpoint id, the sink's level last
-        assert assign_levels(chain_topology(), source=0) == (0, 1, 2, 3)
+        assert assign_levels(chain_topology(), source=0) == array("H", (0, 1, 2, 3))
 
     def test_source_neighbors_are_level_one(self):
         topo = build_topology([(0, 0), (5, 0), (0, 5), (3, 3)], (6, 6), 8.0)
@@ -36,7 +38,31 @@ class TestLevels:
     def test_out_of_range_node_unreachable(self):
         topo = build_topology([(0, 0), (10, 0), (200, 200)], (15, 0), 12.0)
         levels = assign_levels(topo, source=0)
-        assert levels[2] is None
+        assert levels[2] == UNREACHED
+
+    def test_level_form_keeps_every_level_below_its_sentinel(self):
+        # every level is at most the node count, the sink one past the
+        # farthest sensor of a chain
+        assert level_form(UNREACHED - 1) == ("H", UNREACHED)
+        assert level_form(UNREACHED) == ("L", UNREACHED_WIDE)
+
+    def test_wide_chain_keeps_a_level_equal_to_the_narrow_sentinel(self):
+        # 0 - 1 - ... - (n-1) - sink, built by hand: n sensors on a line,
+        # each linked to the next, the last to the sink. Node n-1 is at level
+        # UNREACHED, the narrow sentinel, and the sink one past 'H'
+        n = bs = UNREACHED + 1
+        adjacency = tuple((*([i - 1] if i else ()), i + 1) for i in range(n)) + ((n - 1,),)
+        distances = tuple({j: 1.0 for j in row} for row in adjacency)
+        topo = Topology(tuple((float(i), 0.0) for i in range(n)), distances, adjacency)
+        levels = assign_levels(topo, source=0)
+        assert levels.typecode == "L" and len(levels) == n + 1
+        assert levels[n - 1] == UNREACHED and levels[bs] == UNREACHED + 1
+        assert levels == array("L", range(n + 1))
+        live = live_adjacency(topo, [i != 1 for i in range(n)])
+        with pytest.raises(DisconnectedNetwork):
+            assign_levels(topo, source=0, live=live)
+        levels = assign_levels(topo, source=2, live=live)
+        assert levels[0] == levels[1] == UNREACHED_WIDE and levels[bs] == n - 2
 
     def test_sink_unreachable_raises(self):
         topo = build_topology([(0, 0), (10, 0), (100, 0)], (105, 0), 12.0)

@@ -10,6 +10,7 @@ from tcaco import topology
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.engine import Simulation, deploy_nodes
 from tcaco.model import DELIVERED, DROPPED_TIMEOUT, IN_FLIGHT, Packet
+from tcaco.routing import UNREACHED
 from tcaco.topology import (DisconnectedNetwork, Topology, build_topology,
                             euclidean_distance)
 from tcaco.trust import TrustReads, TrustStats
@@ -271,7 +272,7 @@ def test_node_alive_tracks_threshold():
         sim = Simulation(cfg, positions=layout)
         sim.energy[1] = energy
         sim.run_cycle()
-        assert sim.levels[1] is not None
+        assert sim.levels[1] != UNREACHED
     sim = Simulation(cfg, positions=layout)
     sim.energy[1] = 0.009
     with pytest.raises(DisconnectedNetwork):
