@@ -142,7 +142,6 @@ class Simulation:
         self.cfg = cfg
         self.trust_filter, self.betas = get_policy(protocol, cfg)
         self.protocol = protocol
-        self.needs_trust = self.trust_filter or self.betas[0] > 0
         self.needs_pheromone = self.betas[2] != 0
         self.seed = cfg.rng_seed if seed is None else seed
         self.rng = random.Random(self.seed)
@@ -204,12 +203,12 @@ class Simulation:
         self._in_flight = 0
         self._occupied: set[int] = set()
         # levels from the source, indexed by endpoint id with the sink last,
-        # a node the search does not reach at ``_unreached``: a plain list
-        # copied from the cached array when the source moves, as a list
-        # indexes faster than an array
+        # a node the search does not reach at ``_unreached``: a plain list,
+        # the search's own on a cache miss and a copy of the cached array on
+        # a hit, as a list indexes faster than an array
         self.levels: Optional[list[int]] = None
         self._levels_source: Optional[int] = None
-        self._unreached = level_form(n)[1]
+        self._level_typecode, self._unreached = level_form(n)
         # the compact levels of every source searched since the last death,
         # each an array of n + 1 levels (``routing.level_form``); a death
         # drops them all, so it holds at most one entry per pool source
@@ -309,22 +308,27 @@ class Simulation:
         dies, and a source's search is kept until a node dies."""
         if self._levels_source == source:
             return
-        levels = self._level_cache.get(source)
-        if levels is None:
-            levels = self._level_cache[source] = assign_levels(self.topology, source,
-                                                               self._live)
-        self.levels = levels.tolist()
+        cached = self._level_cache.get(source)
+        if cached is None:
+            self.levels = assign_levels(self.topology, source, self._live)
+            self._level_cache[source] = array(self._level_typecode, self.levels)
+        else:
+            self.levels = cached.tolist()
         self._levels_source = source
 
     def _scored_candidates(self, i: int, level_i: int):
-        """Valid next hops for node i with (id, tc, d, tau) scoring inputs;
-        each candidate's trust is read once."""
+        """Valid next hops for node i with (id, tc, d, tau) scoring inputs.
+
+        The trust filter asks only whether a candidate's link is above the
+        threshold (``TrustReads.trusted``) and whether the candidate is
+        flagged; the exact trust is read only where the trust-congestion
+        score uses it, once per candidate that passes."""
         cfg = self.cfg
         use_tcm = self.betas[0] > 0
-        needs_trust, trust_filter = self.needs_trust, self.trust_filter
+        trust_filter = self.trust_filter
         levels, bs = self.levels, self.bs
         reads = self.trust
-        link, malicious, th = reads.link, reads.malicious, reads.threshold
+        link, trusted, malicious = reads.link, reads.trusted, reads.malicious
         congestion_index = self.flow.congestion_index
         distances = self.topology.distances[i]
         taus = self.pheromone.row(i) if self.needs_pheromone else None
@@ -333,17 +337,15 @@ class Simulation:
         for j in self.topology.adjacency[i]:
             if j == bs:
                 ci_j = 0.0
-                t_ij = link(i, j) if use_tcm else 1.0
             else:
                 if levels[j] != next_level:
                     continue
-                t_ij = link(i, j) if needs_trust else 1.0
-                if trust_filter and (not t_ij > th or malicious(j)):
+                if trust_filter and (not trusted(i, j) or malicious(j)):
                     continue
                 # flow rows change only at the end of a cycle; only tc_aco
                 # scores congestion, and its trust filter has passed j
                 ci_j = congestion_index(j) if use_tcm else 0.0
-            tc = trust_congestion_metric(t_ij, ci_j, cfg.alpha,
+            tc = trust_congestion_metric(link(i, j), ci_j, cfg.alpha,
                                          cfg.congestion_polarity) if use_tcm else 1.0
             tau = taus[j] if taus is not None else 1.0
             out.append((j, tc, distances[j], tau))

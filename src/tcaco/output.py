@@ -92,8 +92,9 @@ def trust_dump_text(sim: Simulation) -> str:
 
     The rows are ``sim.trust.rows()``: the full computation from the
     committed evidence and the snapshot of the last step 8, classified
-    against the reader's threshold. For a protocol that reads trust, each
-    ``t_ij`` is the value routing reads until the next cycle's step 8.
+    against the reader's threshold. Until the next cycle's step 8, each
+    classification is what the trust filter's threshold test reads, and
+    each ``t_ij`` what tc_aco's exact read returns.
     """
     threshold = sim.trust.threshold
     lines = ["i,j,ne,ptr,pl,t_ij,classification"]

@@ -12,7 +12,6 @@ set.
 from __future__ import annotations
 
 import bisect
-from array import array
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -75,11 +74,12 @@ def level_form(node_count: int) -> tuple[str, int]:
 
 def assign_levels(topology: Topology, source: int,
                   live: Optional[Sequence[Optional[Sequence[int]]]] = None,
-                  ) -> array:
+                  ) -> list[int]:
     """Breadth-first hop counts from the source over transmitting nodes,
-    indexed by endpoint id with the sink's level last, as the compact array
-    ``level_form`` names; a node the search does not reach holds its
-    sentinel (``UNREACHED`` below 65,535 nodes).
+    indexed by endpoint id with the sink's level last; a node the search
+    does not reach holds the sentinel ``level_form`` names (``UNREACHED``
+    below 65,535 nodes), so the list packs into that form's array as it
+    stands.
 
     ``live`` is the ``live_adjacency`` of the alive nodes, every node alive
     by default. Dead nodes neither relay nor get a level. The sink's level
@@ -97,8 +97,8 @@ def assign_levels(topology: Topology, source: int,
     if not bs_neighbor_levels:
         raise DisconnectedNetwork("base station unreachable from the source")
     levels.append(min(bs_neighbor_levels) + 1)
-    typecode, unreached = level_form(topology.node_count)
-    return array(typecode, [unreached if h is None else h for h in levels])
+    unreached = level_form(topology.node_count)[1]
+    return [unreached if h is None else h for h in levels]
 
 
 def trust_congestion_metric(t_ij: float, ci_j: float, alpha: float,

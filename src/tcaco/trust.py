@@ -23,14 +23,18 @@ neighbour row.
 ``TrustReads`` is the one reader of that evidence, held by the engine as
 ``Simulation.trust``. At the end of every cycle, for every protocol, it
 commits the evidence and takes one snapshot of levels and energies; every
-value it reads comes from the two. ``latency_scores`` is the one
-computation of a row's latency scores, and ``components`` the one
-computation of a link's other components and its blend; ``blend`` is the
-weighted mean, under weights ``trust_weights`` checks once per simulation.
-``link`` and ``malicious`` serve routing, each verdict made once per
-snapshot, and ``rows`` the trust dump and the tests. The tests hold
-independent per-link references for the three metrics and the full node
-verdict, and compare the reader against them.
+value it reads comes from the two, and it computes only what a decision
+reads. ``trusted`` answers "is the link above the threshold" from the
+blend's bounds at latency scores 0 and 1, and scores the latency only when
+the bounds straddle the threshold; ``link`` reads the exact value, which
+only tc_aco's trust-congestion score uses. ``latency_score`` is the one
+computation of a link's latency score, from its level group's sum, which
+``level_group`` derives once per snapshot; ``components`` gives a link's
+metrics and their exact blend by ``blend``, the weighted mean, under weights
+``trust_weights`` checks once per simulation. ``malicious`` serves routing,
+each verdict made once per snapshot, and ``rows`` the trust dump and the
+tests. The tests hold independent per-link references for the three
+metrics and the full node verdict, and compare the reader against them.
 """
 
 from __future__ import annotations
@@ -61,11 +65,6 @@ class LinkStats:
         self.acks_received = 0
         self.latency_count = 0
         self.latency_sum = 0.0
-
-    def mean_latency(self) -> float | None:
-        if not self.latency_count:
-            return None
-        return self.latency_sum / self.latency_count
 
 
 # What a link without evidence reads as; shared, never written.
@@ -193,10 +192,13 @@ class TrustReads:
     ``take``: ``levels`` and ``energies``, indexed by endpoint id with the
     sink last, a node without a level at the sentinel of
     ``routing.level_form``. Before the first, every node holds the sentinel
-    and every battery is full, so every link reads 1.0. A row's latency
-    scores and a node's verdict are derived at most once per snapshot, when
-    a read first needs them; ``rows`` derives the scores afresh, so it stays
-    the full computation of what ``link`` and ``malicious`` read.
+    and every battery is full, so every link reads 1.0.
+
+    ``trusted`` answers the threshold test from the blend's bounds and
+    scores the latency only when they straddle the threshold; ``link``
+    reads the exact value. A level group's latency sum and a node's verdict
+    are derived at most once per snapshot, when a read first needs them,
+    and kept until the next ``take``: the reader's only memos.
     """
 
     def __init__(self, cfg: SimConfig, adjacency: Sequence[Sequence[int]]):
@@ -207,12 +209,12 @@ class TrustReads:
         self.e_init = cfg.initial_energy
         self.weights = trust_weights(cfg.a1, cfg.a2, cfg.a3)
         self.threshold = cfg.trust_threshold
-        self.polarity = cfg.latency_polarity
+        self.literal = cfg.latency_polarity == "literal"
         # a nominal comparison latency for a row without peers on a level
         self.reference = float(cfg.wc_max)
         self.levels: Sequence[int] = [level_form(n)[1]] * (n + 1)
         self.energies: Sequence[float] = [cfg.initial_energy] * (n + 1)
-        self._scores: dict[int, dict[int, float]] = {}
+        self._groups: dict[tuple[int, int], tuple[float, int]] = {}
         self._verdicts: dict[int, bool] = {}
 
     def take(self, levels: Sequence, energies: Sequence[float]) -> None:
@@ -220,76 +222,97 @@ class TrustReads:
         ``energies`` until the next call; both are kept, not copied."""
         self.stats.commit()
         self.levels, self.energies = levels, energies
-        self._scores = {}
+        self._groups = {}
         self._verdicts = {}
 
-    def latency_scores(self, i: int) -> dict[int, float]:
-        """Latency score of each neighbor j of i with latency evidence on
-        (i, j): those of ``stats.timed[i]``, the only ones walked.
+    def level_group(self, i: int, level: int) -> tuple[float, int]:
+        """Sum and count of the mean latencies of i's timed links to the
+        nodes on ``level``, summed in ``stats.timed[i]`` order, which is
+        ascending id order (the order of an adjacency row, where the sink,
+        id n, comes last). The nodes without a level share the sentinel, so
+        they are one group."""
+        key = (i, level)
+        group = self._groups.get(key)
+        if group is None:
+            link, levels = self.stats.link, self.levels
+            total, count = 0.0, 0
+            for k in self.stats.timed[i]:
+                if levels[k] == level:
+                    s = link(i, k)
+                    total += s.latency_sum / s.latency_count
+                    count += 1
+            group = self._groups[key] = (total, count)
+        return group
 
-        Each mean latency is compared against the mean of the others on its
-        level: the means are summed once per level, in ascending id order
-        (the order of an adjacency row, where the sink, id n, comes last),
-        and its own term is taken back out; the nodes without a level share
-        the sentinel, so they are one group. Without such peers,
-        ``reference`` stands in for their mean. Normalized polarity rewards
-        nodes faster than their peers, capped at 1, and scores an unbounded
-        mean latency (transfers that never completed) 0 outright; literal
-        polarity returns the raw slow/fast ratio clamped to [0,1].
+    def latency_score(self, i: int, j: int, s: LinkStats) -> float:
+        """Latency score of j in i's row; ``s`` is the committed record of
+        the link (i, j), which holds latency evidence.
+
+        The link's mean latency is compared against the mean of the others
+        on j's level: their level group's sum with its own term taken back
+        out. Without such peers, ``reference`` stands in for their mean.
+        Normalized polarity rewards nodes faster than their peers, capped at
+        1, and scores an unbounded mean latency (transfers that never
+        completed) 0 outright; literal polarity returns the raw slow/fast
+        ratio clamped to [0,1]. Either way the score lies in [0,1].
         """
-        cols = self.stats.timed.get(i)
-        if cols is None:
-            return {}
-        link, levels = self.stats.link, self.levels
-        timed = [(j, link(i, j).mean_latency(), levels[j]) for j in cols]
-        group_sum: dict = {}
-        group_cnt: dict = {}
-        for _, m, lvl in timed:
-            group_sum[lvl] = group_sum.get(lvl, 0.0) + m
-            group_cnt[lvl] = group_cnt.get(lvl, 0) + 1
-        literal = self.polarity == "literal"
-        scores = {}
-        for j, m_j, lvl in timed:
-            if not literal and m_j == math.inf:
-                pl = 0.0
-            else:
-                cnt = group_cnt[lvl] - 1
-                mean_others = (group_sum[lvl] - m_j) / cnt if cnt > 0 else self.reference
-                if literal:
-                    if m_j == math.inf or mean_others == 0.0:
-                        pl = 1.0
-                    else:
-                        # min(1.0, max(0.0, ratio)), as the comparisons it makes
-                        pl = m_j / mean_others
-                        if not pl > 0.0:
-                            pl = 0.0
-                        elif not pl < 1.0:
-                            pl = 1.0
-                elif m_j == 0.0:
-                    pl = 1.0
-                else:
-                    pl = mean_others / m_j
-                    if not pl < 1.0:
-                        pl = 1.0
-            scores[j] = pl
-        return scores
+        m_j = s.latency_sum / s.latency_count
+        literal = self.literal
+        if m_j == math.inf:
+            return 1.0 if literal else 0.0
+        total, cnt = self.level_group(i, self.levels[j])
+        cnt -= 1
+        mean_others = (total - m_j) / cnt if cnt > 0 else self.reference
+        if literal:
+            if mean_others == 0.0:
+                return 1.0
+            # min(1.0, max(0.0, ratio)), as the comparisons it makes
+            pl = m_j / mean_others
+            if not pl > 0.0:
+                return 0.0
+            return pl if pl < 1.0 else 1.0
+        if m_j == 0.0:
+            return 1.0
+        pl = mean_others / m_j
+        return pl if pl < 1.0 else 1.0
 
-    def components(self, i: int, j: int, pl: float) -> tuple[float, float, float]:
-        """Trust components ``(ne, ptr, t_ij)`` of the link (i, j) with
-        latency score ``pl``: the one place a link is blended."""
-        link = self.stats._links.get((i, j), _NO_EVIDENCE)
+    def _metrics(self, i: int, j: int) -> tuple[LinkStats, float, float]:
+        """The committed record of the link (i, j), read straight from the
+        link dict, and its energy and transmission metrics ``ne``, ``ptr``."""
+        s = self.stats._links.get((i, j), _NO_EVIDENCE)
         energies = self.energies
         ne = ((energies[i] + energies[j]) / 2.0) / self.e_init
-        ptr = link.acks_received / link.packets_sent if link.packets_sent else 1.0
-        return ne, ptr, blend(ne, ptr, pl, self.weights)
+        ptr = s.acks_received / s.packets_sent if s.packets_sent else 1.0
+        return s, ne, ptr
+
+    def components(self, i: int, j: int) -> tuple[float, float, float, float]:
+        """Trust components ``(ne, ptr, pl, t_ij)`` of the link (i, j); a
+        neighbor without latency evidence scores the neutral 1.0."""
+        s, ne, ptr = self._metrics(i, j)
+        pl = self.latency_score(i, j, s) if s.latency_count else 1.0
+        return ne, ptr, pl, blend(ne, ptr, pl, self.weights)
 
     def link(self, i: int, j: int) -> float:
-        """Trust of i upon j; a neighbor without latency evidence scores
-        the neutral 1.0."""
-        scores = self._scores.get(i)
-        if scores is None:
-            scores = self._scores[i] = self.latency_scores(i)
-        return self.components(i, j, scores.get(j, 1.0))[2]
+        """Trust of i upon j."""
+        return self.components(i, j)[3]
+
+    def trusted(self, i: int, j: int) -> bool:
+        """Whether ``link(i, j) > threshold``, scoring the latency only
+        when the blend's bounds do not decide it.
+
+        A latency score lies in [0,1], and with non-negative weights and a
+        positive total the float blend is monotone in it, so the blends at
+        0.0 and 1.0 bound the exact one bit for bit: a low bound above the
+        threshold passes, a high bound at or below it fails."""
+        s, ne, ptr = self._metrics(i, j)
+        weights, th = self.weights, self.threshold
+        if not s.latency_count:
+            return blend(ne, ptr, 1.0, weights) > th
+        if blend(ne, ptr, 0.0, weights) > th:
+            return True
+        if not blend(ne, ptr, 1.0, weights) > th:
+            return False
+        return blend(ne, ptr, self.latency_score(i, j, s), weights) > th
 
     def malicious(self, j: int) -> bool:
         """Verdict on node j: some node has sent to it, and none of those
@@ -301,9 +324,9 @@ class TrustReads:
             senders = self.stats.senders.get(j)
             verdict = senders is not None
             if verdict:
-                th = self.threshold
+                trusted = self.trusted
                 for k in senders:
-                    if self.link(k, j) > th:
+                    if trusted(k, j):
                         verdict = False
                         break
             self._verdicts[j] = verdict
@@ -311,12 +334,6 @@ class TrustReads:
 
     def rows(self):
         """Yield ``(i, [(j, ne, ptr, pl, t_ij), ...])`` per node, in link
-        order, each row's latency scores derived afresh."""
+        order: every link of the snapshot, as ``link`` reads it."""
         for i in range(self.node_count):
-            scores = self.latency_scores(i)
-            row = []
-            for j in self.adjacency[i]:
-                pl = scores.get(j, 1.0)
-                ne, ptr, t_ij = self.components(i, j, pl)
-                row.append((j, ne, ptr, pl, t_ij))
-            yield i, row
+            yield i, [(j, *self.components(i, j)) for j in self.adjacency[i]]

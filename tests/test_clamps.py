@@ -28,7 +28,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tcaco"
 # functions that run per transfer, per candidate or per cycle
 HOT_PATHS = [("energy.py", "debit"),
              ("congestion.py", "FlowHistory.congestion_index"),
-             ("trust.py", "TrustReads.latency_scores"),
+             ("trust.py", "TrustReads.latency_score"),
              ("routing.py", "select_next_hop"),
              ("engine.py", "Simulation.run_cycle")]
 
@@ -136,11 +136,13 @@ def builtin_latency_scores(polarity, means, reference):
 
 class Means:
     """Committed evidence of one row 0 -> 1..n whose mean latencies are
-    ``means``, whatever they are: NaN included."""
+    ``means``, whatever they are: NaN included. Each link holds one sample,
+    so its record's ``latency_sum / latency_count`` is its mean exactly."""
 
     def __init__(self, means):
         self.timed = {0: list(range(1, len(means) + 1))}
-        self.links = [SimpleNamespace(mean_latency=lambda m=m: m) for m in [None, *means]]
+        self.links = {j: SimpleNamespace(latency_sum=m, latency_count=1)
+                      for j, m in enumerate(means, 1)}
 
     def link(self, i, j):
         return self.links[j]
@@ -167,9 +169,9 @@ def test_latency_scores_clamp_like_min_max(polarity, means):
     reads = TrustReads(cfg, [[] for _ in range(n + 2)])
     reads.take([0] * (n + 2), [cfg.initial_energy] * (n + 2))
     reads.stats = Means(means)
-    got = reads.latency_scores(0)
+    got = [reads.latency_score(0, j, reads.stats.link(0, j)) for j in range(1, n + 1)]
     expected = builtin_latency_scores(polarity, means, reads.reference)
-    assert [got[j].hex() for j in range(1, n + 1)] == [float(e).hex() for e in expected]
+    assert [g.hex() for g in got] == [float(e).hex() for e in expected]
 
 
 class Draw:

@@ -24,7 +24,7 @@ from tcaco.trust import TrustReads, blend, trust_weights
 import random
 
 from test_trust import (MALICIOUS_NODE, TRUSTED_NODE, classify, energy_metric,
-                        latency_score, node_class, packet_transmission_ratio)
+                        latency_score, mean_latency, node_class, packet_transmission_ratio)
 
 
 def conserved_totals(metrics):
@@ -261,7 +261,7 @@ class TestFaultBehaviors:
         third = sim.run_cycle()
         assert third.delivered == 2  # released after the hold expires
         # delivery latency fed the trust stats with the two-cycle delay
-        assert sim.stats.link(0, 1).mean_latency() == pytest.approx(2.0)
+        assert mean_latency(sim.stats.link(0, 1)) == pytest.approx(2.0)
 
 
 class TestTerminations:
@@ -796,33 +796,44 @@ class TestTrustReadsAtCycleStart:
     @pytest.mark.parametrize("protocol", ["tc_aco", "trust_greedy"])
     def test_reads_equal_the_previous_cycles_recomputation(self, protocol):
         cfg = SimConfig(**self.CFG)
+        th = cfg.trust_threshold
         sim = Simulation(cfg, protocol=protocol, seed=4)
         reader = sim.trust
-        trust, malicious = reader.link, reader.malicious
-        read_t, read_v = [], []
+        trust, trusted, malicious = reader.link, reader.trusted, reader.malicious
+        read_t, read_th, read_v = [], [], []
 
         def recording_trust(i, j):
             read_t.append(((i, j), trust(i, j)))
             return read_t[-1][1]
 
+        def recording_trusted(i, j):
+            read_th.append(((i, j), trusted(i, j)))
+            return read_th[-1][1]
+
         def recording_malicious(j):
             read_v.append((j, malicious(j)))
             return read_v[-1][1]
 
-        reader.link, reader.malicious = recording_trust, recording_malicious
-        reads = flagged = 0
+        reader.link, reader.trusted = recording_trust, recording_trusted
+        reader.malicious = recording_malicious
+        reads = tests = flagged = 0
         while sim.cycle < cfg.max_cycles:
             full = all_trust(sim)
-            verdict = classify(full, sim.stats, cfg.trust_threshold, cfg.node_count)
+            verdict = classify(full, sim.stats, th, cfg.node_count)
             read_t.clear()
+            read_th.clear()
             read_v.clear()
             sim.run_cycle()
             assert all(t_ij == full[link] for link, t_ij in read_t), sim.cycle
+            assert all(passed == (full[link] > th) for link, passed in read_th), sim.cycle
             assert all(verdict[j] == (MALICIOUS_NODE if flag else TRUSTED_NODE)
                        for j, flag in read_v), sim.cycle
             reads += len(read_t)
+            tests += len(read_th)
             flagged += any(flag for _, flag in read_v)
-        assert reads and flagged
+        # tc_aco reads the exact trust of the candidates that pass; the
+        # trust_greedy filter needs only the threshold tests
+        assert tests and flagged and (reads > 0) == (protocol == "tc_aco")
 
     @pytest.mark.parametrize("protocol", ["tc_aco", "trust_greedy"])
     def test_verdicts_kept_through_the_cycle_equal_the_reference(self, protocol):
@@ -847,31 +858,47 @@ class TestTrustReadsAtCycleStart:
             sim.run_cycle()
         assert len(kept) == cfg.max_cycles and sum(kept) > cfg.max_cycles
 
-    def test_row_scores_are_derived_at_most_once_between_snapshots(self, monkeypatch):
-        """Between two ``take`` calls, the reads derive each row's latency
-        scores at most once: the one memo the reader keeps."""
-        take, latency_scores, link = (TrustReads.take, TrustReads.latency_scores,
-                                      TrustReads.link)
-        derived, repeated, totals = Counter(), [], Counter()
+    def test_level_groups_are_summed_at_most_once_between_snapshots(self, monkeypatch):
+        """Between two ``take`` calls, the reads sum each (row, level) group
+        of latencies at most once: the memo the reader keeps. A sum walks
+        ``stats.timed[i]``, the only read of that index by key."""
+        take, level_group, link, trusted = (TrustReads.take, TrustReads.level_group,
+                                            TrustReads.link, TrustReads.trusted)
+        asked, totals = set(), Counter()
+        walks, summed = [], []
+
+        class CountedRows(dict):
+            def __getitem__(self, i):
+                walks.append(i)
+                return dict.__getitem__(self, i)
 
         def counted_take(reads, levels, energies):
-            repeated.extend(i for i, k in derived.items() if k > 1)
-            totals["derived"] += sum(derived.values())
-            derived.clear()
+            summed.append((len(walks), len(asked)))
+            asked.clear()
+            walks.clear()
             take(reads, levels, energies)
 
-        def counted_scores(reads, i):
-            derived[i] += 1
-            return latency_scores(reads, i)
+        def counted_group(reads, i, level):
+            asked.add((i, level))
+            return level_group(reads, i, level)
 
         def counted_link(reads, i, j):
             totals["reads"] += 1
             return link(reads, i, j)
 
+        def counted_trusted(reads, i, j):
+            totals["reads"] += 1
+            return trusted(reads, i, j)
+
         monkeypatch.setattr(TrustReads, "take", counted_take)
-        monkeypatch.setattr(TrustReads, "latency_scores", counted_scores)
+        monkeypatch.setattr(TrustReads, "level_group", counted_group)
         monkeypatch.setattr(TrustReads, "link", counted_link)
-        metrics = Simulation(SimConfig(**self.CFG), protocol="tc_aco", seed=4).run()
+        monkeypatch.setattr(TrustReads, "trusted", counted_trusted)
+        sim = Simulation(SimConfig(**self.CFG), protocol="tc_aco", seed=4)
+        sim.stats.timed = CountedRows()
+        metrics = sim.run()
         assert len(metrics.cycles) == self.CFG["max_cycles"]
-        assert not repeated
-        assert 0 < totals["derived"] < totals["reads"] / 2
+        # per snapshot, one walk for each distinct group asked for
+        assert all(n_walks == n_asked for n_walks, n_asked in summed)
+        groups = sum(n_walks for n_walks, _ in summed)
+        assert 0 < groups < totals["reads"] / 2

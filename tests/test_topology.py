@@ -184,35 +184,49 @@ def test_measures_a_bounded_share_of_pairs(monkeypatch):
 
 def test_trust_reads_walk_a_bounded_number_of_links(monkeypatch):
     """A scale-shaped tc_aco run (n=800 at the shipped density, rotating
-    source, drop faults) looks up at most two link records per link the
-    reader blends: the verdict walks only a node's senders and the latency
-    scores only a row's timed links, where walking whole neighbour rows
-    looked up about 13 per blend."""
+    source, drop faults) looks up at most two link records per latency
+    score the reader computes: the verdict walks only a node's senders, a
+    threshold test or an exact read looks its own link up straight from the
+    link dict, and a latency score sums only the timed links on its level,
+    where walking whole neighbour rows looked up about 13 per read."""
     n = 800
     side = 200.0 * math.sqrt(n / 50)
     cfg = SimConfig(node_count=n, field_width=side, field_height=side,
                     source_policy="random_per_round", max_cycles=100,
                     fault_spec=(FaultSpec(behavior="drop", fraction=0.2, p=0.8),))
-    lookups = blends = 0
-    link, components = TrustStats.link, TrustReads.components
+    lookups = reads = scores = 0
+    link, trusted, exact = TrustStats.link, TrustReads.trusted, TrustReads.link
+    latency_score = TrustReads.latency_score
 
     def counted_link(self, i, j):
         nonlocal lookups
         lookups += 1
         return link(self, i, j)
 
-    def counted_blend(self, i, j, pl):
-        nonlocal blends
-        blends += 1
-        return components(self, i, j, pl)
+    def counted_trusted(self, i, j):
+        nonlocal reads
+        reads += 1
+        return trusted(self, i, j)
+
+    def counted_exact(self, i, j):
+        nonlocal reads
+        reads += 1
+        return exact(self, i, j)
+
+    def counted_score(self, i, j, s):
+        nonlocal scores
+        scores += 1
+        return latency_score(self, i, j, s)
 
     monkeypatch.setattr(TrustStats, "link", counted_link)
-    monkeypatch.setattr(TrustReads, "components", counted_blend)
+    monkeypatch.setattr(TrustReads, "trusted", counted_trusted)
+    monkeypatch.setattr(TrustReads, "link", counted_exact)
+    monkeypatch.setattr(TrustReads, "latency_score", counted_score)
     sim = Simulation(cfg, protocol="tc_aco", seed=1)
     sim.run()
     assert sim.cycle == 100
-    assert blends > 5000
-    assert lookups <= 2 * blends
+    assert reads > 5000 and scores > 500
+    assert 0 < lookups <= 2 * scores
 
 
 def test_neighbor_distances_symmetric():

@@ -13,9 +13,10 @@ import math
 from typing import Iterable
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcaco.config import SimConfig
+from tcaco.routing import UNREACHED
 from tcaco.trust import TrustReads, TrustStats, ZeroWeights, blend, trust_weights
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -28,6 +29,11 @@ def node_class(sim) -> dict[int, str]:
     """Verdict per node of ``sim``, as ``sim.trust.malicious`` reads it."""
     return {j: MALICIOUS_NODE if sim.trust.malicious(j) else TRUSTED_NODE
             for j in range(sim.cfg.node_count)}
+
+
+def mean_latency(s) -> float | None:
+    """Mean latency sample of the link record ``s``; None before any."""
+    return s.latency_sum / s.latency_count if s.latency_count else None
 
 
 def packet_transmission_ratio(stats: TrustStats, i: int, j: int) -> float:
@@ -51,12 +57,12 @@ def latency_score(stats: TrustStats, i: int, j: int, peers: Iterable[int],
     An unbounded mean latency (transfers that never completed) scores 0
     outright: no peer comparison can redeem it.
     """
-    lat_j = stats.link(i, j).mean_latency()
+    lat_j = mean_latency(stats.link(i, j))
     if lat_j is None:
         return 1.0
     if polarity != "literal" and lat_j == math.inf:
         return 0.0
-    peer_means = [m for m in (stats.link(i, k).mean_latency() for k in peers if k != j)
+    peer_means = [m for m in (mean_latency(stats.link(i, k)) for k in peers if k != j)
                   if m is not None]
     if peer_means:
         mean_others = sum(peer_means) / len(peer_means)
@@ -326,11 +332,89 @@ def test_drop_all_link_converges_untrusted():
     assert (reads.malicious(1), reads.malicious(2)) == (True, False)
 
 
+SUBNORMAL = 5e-324
+# latency samples: zero, subnormal, huge and unbounded ones drawn often.
+# Huge samples stay below the float range when a level's few means are
+# summed: the reader takes a link's own term back out of its level's sum,
+# and a sum past the float range reads the others as unbounded where the
+# per-link reference reads them finite. The engine's samples are cycle
+# counts, the timeout penalty or unbounded, far from that range
+latency_samples = st.one_of(
+    st.sampled_from([0.0, SUBNORMAL, 1e-300, 1.0, 2.0, 1e300, math.inf]),
+    st.floats(min_value=0.0, max_value=1e6))
+# weights, zero and those small enough for ``trust_weights`` to rescale
+# drawn often; at least one is positive
+weight = st.one_of(st.sampled_from([0.0, SUBNORMAL, 1e-305, 1e-301, 1.0]), unit)
+
+
+@st.composite
+def trust_histories(draw):
+    """A reader over a complete graph of up to five sensors and the sink,
+    and a few cycles of evidence on the sensors' links, each cycle with its
+    levels and energies."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.tuples(weight, weight, weight).filter(lambda w: sum(w) > 0))
+    cfg = SimConfig(node_count=n, initial_energy=2.0, wc_max=draw(st.integers(1, 4)),
+                    a1=weights[0], a2=weights[1], a3=weights[2],
+                    trust_threshold=draw(st.one_of(st.sampled_from([0.0, 1.0]), unit)),
+                    latency_polarity=draw(st.sampled_from(["normalized", "literal"])))
+    links = [(i, j) for i in range(n) for j in range(n + 1) if i != j]
+    cycles = []
+    for _ in range(draw(st.integers(1, 4))):
+        records = draw(st.lists(st.tuples(st.sampled_from(links), st.integers(0, 3),
+                                          st.integers(0, 3), st.lists(latency_samples,
+                                                                      max_size=3)),
+                                max_size=8))
+        levels = draw(st.lists(st.sampled_from([0, 1, 2, UNREACHED]),
+                               min_size=n + 1, max_size=n + 1))
+        energies = draw(st.lists(st.floats(min_value=0.0, max_value=2.0),
+                                 min_size=n + 1, max_size=n + 1))
+        cycles.append((records, levels, energies))
+    return cfg, cycles
+
+
+@settings(max_examples=200, deadline=None)
+@given(trust_histories())
+def test_threshold_tests_and_exact_reads_equal_the_references(history):
+    """After every cycle, every link's threshold test reads as its exact
+    trust compared with the threshold, and every exact read blends the
+    per-link references: the energy and transmission metrics bit for bit,
+    the latency score within rounding (the reader sums a level's means once
+    and takes each link's own term back out)."""
+    cfg, cycles = history
+    n = cfg.node_count
+    adjacency = [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+    reads = TrustReads(cfg, adjacency)
+    stats, th, weights = reads.stats, cfg.trust_threshold, reads.weights
+    for records, levels, energies in cycles:
+        for (i, j), sends, acks, samples in records:
+            if sends:
+                stats.record_send(i, j, sends)
+                stats.record_ack(i, j, min(acks, sends))
+            for value in samples:
+                stats.record_latency(i, j, value)
+        reads.take(levels, energies)
+        evidenced = list(stats._links)
+        tests = {link: reads.trusted(*link) for link in evidenced}
+        exact = {link: reads.link(*link) for link in evidenced}
+        assert tests == {link: t_ij > th for link, t_ij in exact.items()}
+        rows = {(i, j): (pl, t_ij) for i, row in reads.rows() for j, _, _, pl, t_ij in row}
+        for i, j in evidenced:
+            pl, t_ij = rows[(i, j)]
+            assert exact[(i, j)] == t_ij
+            peers = [k for k in adjacency[i] if levels[k] == levels[j]]
+            want = latency_score(stats, i, j, peers, cfg.latency_polarity,
+                                 reference=float(cfg.wc_max))
+            assert pl == pytest.approx(want, rel=1e-12, abs=1e-12), (i, j)
+            ne = energy_metric(energies[i], energies[j], cfg.initial_energy)
+            assert t_ij == blend(ne, packet_transmission_ratio(stats, i, j), pl, weights)
+
+
 class TestEvidenceRecords:
     def test_read_stores_nothing(self):
         stats = TrustStats()
         assert stats.link(0, 1).packets_sent == 0
-        assert stats.link(0, 1).mean_latency() is None
+        assert mean_latency(stats.link(0, 1)) is None
         assert stats._links == {}
 
     def test_reads_see_only_committed_evidence(self):
@@ -339,17 +423,17 @@ class TestEvidenceRecords:
         stats.record_ack(0, 1)
         stats.record_latency(0, 1, 2.0)
         assert stats.link(0, 1).packets_sent == 0
-        assert stats.link(0, 1).mean_latency() is None
+        assert mean_latency(stats.link(0, 1)) is None
         assert stats._links == {}
         stats.commit()
         stats.record_send(0, 1)
         stats.record_latency(0, 1, 4.0)
         link = stats.link(0, 1)
-        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (1, 1, 2.0)
+        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (1, 1, 2.0)
         stats.commit()
-        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (2, 1, 3.0)
+        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (2, 1, 3.0)
         stats.commit()      # an empty buffer changes nothing
-        assert (link.packets_sent, link.acks_received, link.mean_latency()) == (2, 1, 3.0)
+        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (2, 1, 3.0)
 
     def test_negative_latency_fails_at_record(self):
         # NaN is no sample either: it would make the link's mean NaN for good
@@ -368,7 +452,7 @@ class TestEvidenceRecords:
         with pytest.raises(ValueError):
             stats.record_latency(0, 1, math.nan)
         stats.commit()
-        assert stats.link(0, 1).mean_latency() == 1.0
+        assert mean_latency(stats.link(0, 1)) == 1.0
 
     @given(st.lists(st.floats(min_value=0.0), max_size=6),
            st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=6),
