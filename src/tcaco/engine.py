@@ -8,12 +8,11 @@ bit-reproducible. The documented draw order is: node deployment first,
 then fault assignment, then per-cycle draws (source pick, then forwarding
 and receipt coins in processing order).
 
-Trust is not kept here. The engine records latency evidence into
-``stats`` as it happens and counts each cycle's transfers in one ledger; at
-step 8 of every cycle it hands the ledger's sends and acks to ``stats`` as
-per-link counts, and the levels and energies to ``trust`` (a
-``trust.TrustReads``), which every trust value and verdict that routing
-reads comes from.
+Trust is not kept here. The engine keeps each cycle's evidence in one
+ledger: the latency samples of its deliveries and timeouts, and its
+transfers. At step 8 of every cycle it records the ledger into ``stats``
+and hands the levels and energies to ``trust`` (a ``trust.TrustReads``),
+which every trust value and verdict that routing reads comes from.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class Simulation:
         self._tx_costs: list[Optional[dict[int, tuple[float, float]]]] = [None] * n
 
         # every trust value and verdict, read as of step 8 of the last cycle,
-        # and the evidence the cycle records
+        # and the evidence step 8 records
         self.trust = TrustReads(cfg, self.topology.adjacency)
         self.stats = self.trust.stats
         self.pheromone = PheromoneTable(self.topology.adjacency[:n], cfg.tau_init,
@@ -393,7 +392,7 @@ class Simulation:
                 self._finish(p, DROPPED_MALICIOUS)
             else:
                 self._finish(p, DELIVERED)
-                self.stats.record_trail(p.hop_trail, float(self.cycle - p.created_cycle))
+                self._latency_now.append((p.hop_trail, float(self.cycle - p.created_cycle)))
             # the sink acknowledges everything it absorbs
             if self.ack_bits:
                 radio.debit(self.energy, i, self._rx_ack)
@@ -427,7 +426,7 @@ class Simulation:
             for _ in range(behavior.copies - 1):
                 if len(queue) >= cfg.queue_capacity:
                     break
-                clone = self._new_packet(p.origin, fake=True)
+                clone = self._new_packet(p.hop_trail[0], fake=True)
                 clone.hop_trail = list(p.hop_trail)
                 enqueue(queue, clone, self.cycle, cfg.queue_capacity)
         return True
@@ -513,16 +512,19 @@ class Simulation:
                 trail = p.hop_trail
                 if len(trail) >= 2:
                     # the holder sat on this packet until it died
-                    self.stats.record_latency(trail[-2], trail[-1], self.latency_penalty)
+                    self._latency_now.append((trail[-2:], self.latency_penalty))
 
     def _recompute_trust(self) -> None:
-        """Hand the ledger's sends, acks and unacknowledged transfers to the
-        evidence as per-link counts, each unacknowledged transfer as an
-        unbounded latency sample; commit the cycle's evidence and hand the
-        reader the snapshot it reads until the next step 8: the cycle's
-        levels and a copy of the energies as they stand, the sink last and
-        energy-unbounded. Nothing is blended here."""
+        """Record the cycle's ledger into the evidence: its latency samples
+        in order, then its sends, acks and unacknowledged transfers as
+        per-link counts, each unacknowledged transfer as an unbounded
+        latency sample; hand the reader the snapshot it reads until the next
+        step 8: the cycle's levels and a copy of the energies as they stand,
+        the sink last and energy-unbounded. Nothing is blended here."""
         stats, lost_now = self.stats, self._lost_now
+        record_trail = stats.record_trail
+        for trail, value in self._latency_now:
+            record_trail(trail, value)
         for i, sent in self._sent_now.items():
             lost = lost_now.get(i)
             for j, n in sent.items():
@@ -538,13 +540,15 @@ class Simulation:
         """Advance the simulation by one cycle and return its statistics."""
         cfg = self.cfg
         self.cycle += 1
-        # the cycle in progress: its row, its ledger of transfers (sent per
+        # the cycle in progress: its row, its ledger (latency samples as
+        # (trail, value) in the order they were taken; transfers sent per
         # sender and receiver, and the unacknowledged ones among them) and
         # its packets received per node: the flood receipts, to which step 6
         # adds the ledger's columns. Every node the cycle debits is a key of
-        # the ledger or of the inflow, or a flood node
+        # the ledger's transfers or of the inflow, or a flood node
         row = self._row = CycleStats(self.cycle)
         self._inflow_now: dict[int, int] = {}
+        self._latency_now: list[tuple[Sequence[int], float]] = []
         self._sent_now: dict[int, dict[int, int]] = {}
         self._lost_now: dict[int, dict[int, int]] = {}
 
@@ -621,7 +625,7 @@ class Simulation:
             self.pheromone.update_cycle(self._sent_now, self.topology.distance,
                                         cfg.pheromone_deposit_scale)
 
-        # 8. commit the cycle's evidence; the next cycle routes on the trust
+        # 8. record the cycle's evidence; the next cycle routes on the trust
         # of this moment
         self._recompute_trust()
 

@@ -14,20 +14,20 @@ TERMINAL_FATES = (DELIVERED, DROPPED_OVERFLOW, DROPPED_TIMEOUT, DROPPED_MALICIOU
 
 
 class Packet:
-    """A routable data unit: origin, hop trail, queue and hold stamps, and fate.
+    """A routable data unit: hop trail, queue and hold stamps, and fate.
 
-    ``queued_at`` is the cycle the packet entered its current queue and
+    ``hop_trail`` starts at the packet's origin and gains each node that
+    takes the packet in. ``queued_at`` is the cycle the packet entered its current queue and
     ``held_until`` the cycle a delay hold ends. ``fake`` marks traffic that
     must never earn delivery credit (flood injections and duplicate clones);
     it still loads queues and radios.
     """
 
-    __slots__ = ("id", "origin", "hop_trail", "queued_at", "held_until",
+    __slots__ = ("id", "hop_trail", "queued_at", "held_until",
                  "created_cycle", "fate", "fake", "transfer_failures")
 
     def __init__(self, pid: int, origin: int, created_cycle: int, fake: bool = False):
         self.id = pid
-        self.origin = origin
         self.hop_trail: list[int] = [origin]
         self.queued_at = created_cycle
         self.held_until = created_cycle
@@ -45,6 +45,6 @@ class Packet:
         self.fate = fate
 
     def __repr__(self) -> str:
-        return (f"Packet(id={self.id}, origin={self.origin}, "
+        return (f"Packet(id={self.id}, origin={self.hop_trail[0]}, "
                 f"holder={self.hop_trail[-1]}, fate={self.fate})")
 

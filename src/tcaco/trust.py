@@ -6,28 +6,24 @@ of the link, and a latency score comparing j against i's other candidates.
 The blend is a weighted mean, so scaling all weights together changes
 nothing.
 
-``TrustStats`` buffers a cycle's evidence as it is recorded and applies it
-when the engine commits it at the end of the cycle; every read sees
-committed evidence only. Sends, acks and lost transfers arrive at that
-step 8 as per-link counts from the engine's ledger of the cycle's
-transfers, a link's lost transfers as that many unbounded latency samples;
-other latency arrives as it happens, one record per delivery for the
-packet's whole trail and one per timeout. A sample is never negative or
-NaN, so once a link's latency sum is unbounded it stays so, whatever lands
-before or after: handing the lost transfers over at step 8 gives the bits
-that recording each as it happened gives. As it commits, it indexes each
-node's senders and each node's timed receivers (the links with latency
-evidence), so a read walks only links with evidence, never a whole
-neighbour row.
+``TrustStats`` holds the evidence and applies each record at once. It
+indexes each node's senders and each node's timed receivers (the links
+with latency evidence), so a read walks only links with evidence, never a
+whole neighbour row. The engine records a cycle's evidence at its step 8,
+a link's lost transfers as that many unbounded latency samples after the
+cycle's finite ones. A sample is never negative or NaN, so once a link's
+latency sum is unbounded it stays so, whatever lands before or after:
+counting the lost transfers at step 8 gives the bits that recording each
+as it happened gives.
 
 ``TrustReads`` is the one reader of that evidence, held by the engine as
-``Simulation.trust``. At the end of every cycle, for every protocol, it
-commits the evidence and takes one snapshot of levels and energies; every
-value it reads comes from the two, and it computes only what a decision
-reads. ``trusted`` answers "is the link above the threshold" from the
-blend's bounds at latency scores 0 and 1, and scores the latency only when
-the bounds straddle the threshold; ``link`` reads the exact value, which
-only tc_aco's trust-congestion score uses. ``latency_score`` is the one
+``Simulation.trust``. At step 8 of every cycle, for every protocol, it
+takes one snapshot of levels and energies; every value it reads comes from
+the evidence and the snapshot, and it computes only what a decision reads.
+``trusted`` answers "is the link above the threshold" from the blend's
+bounds at latency scores 0 and 1, and scores the latency only when the
+bounds straddle the threshold; ``link`` reads the exact value, which only
+tc_aco's trust-congestion score uses. ``latency_score`` is the one
 computation of a link's latency score, from its level group's sum, which
 ``level_group`` derives once per snapshot; ``components`` gives a link's
 metrics and their exact blend by ``blend``, the weighted mean, under weights
@@ -71,39 +67,26 @@ class LinkStats:
 _NO_EVIDENCE = LinkStats()
 
 
-# the kinds of evidence a record buffers
-_SEND, _ACK, _LATENCY = range(3)
-
-
 class TrustStats:
     """All per-link evidence for one simulation instance (single writer).
 
-    The ``record_*`` calls buffer their evidence in the order it arrives;
-    ``commit`` applies the buffer, and ``link`` reads committed evidence
-    only. Only evidence creates a link's record; reading a link without any
+    Each ``record_*`` call applies its evidence at once, and ``link`` reads
+    it. Only evidence creates a link's record; reading a link without any
     stores nothing.
 
     Sends and acks are recorded as counts per link, ``record_send(i, j, n)``
-    and ``record_ack(i, j, n)``, and so are lost transfers,
-    ``record_latency(i, j, math.inf, n)``; the engine hands over each
-    cycle's counts from its ledger at step 8. ``record_trail`` buffers one
-    latency sample for every link of a trail, so a delivery makes one
-    record, and ``record_latency`` is a trail of one link whose sample
-    counts ``n`` times; ``commit`` expands a trail at its place in the
-    buffer, link by link, and adds a counted sample one at a time, so each
-    link adds its samples in the order they were recorded.
+    and ``record_ack(i, j, n)``, and so are latency samples,
+    ``record_latency(i, j, value, n)``, which adds its ``n`` samples one at
+    a time. ``record_trail`` adds one latency sample to every link of a
+    trail, link by link, so a delivery makes one record.
 
-    ``commit`` also keeps two indexes of the committed evidence, with an
-    entry only for a node that has one: ``senders[j]`` lists each k whose
-    link k->j has a send, in the order of their first sends, and
-    ``timed[i]`` each j whose link i->j has a latency sample, in ascending
-    id order."""
+    Two indexes of the evidence have an entry only for a node that has one:
+    ``senders[j]`` lists each k whose link k->j has a send, in the order of
+    their first sends, and ``timed[i]`` each j whose link i->j has a latency
+    sample, in ascending id order."""
 
     def __init__(self):
         self._links: dict[tuple[int, int], LinkStats] = {}
-        # (kind, i, j, count) for sends and acks, (kind, trail, count, value)
-        # for latency
-        self._pending: list[tuple] = []
         self.senders: dict[int, list[int]] = {}
         self.timed: dict[int, list[int]] = {}
 
@@ -111,56 +94,46 @@ class TrustStats:
         return self._links.get((i, j), _NO_EVIDENCE)
 
     def record_send(self, i: int, j: int, n: int = 1) -> None:
-        self._pending.append((_SEND, i, j, n))
+        s = self._links.get((i, j))
+        if s is None:
+            s = self._links[(i, j)] = LinkStats()
+        if not s.packets_sent:
+            self.senders.setdefault(j, []).append(i)
+        s.packets_sent += n
 
     def record_ack(self, i: int, j: int, n: int = 1) -> None:
-        self._pending.append((_ACK, i, j, n))
+        """``n`` acks on the link i->j; the link never holds more acks than
+        sends."""
+        s = self._links.get((i, j), _NO_EVIDENCE)
+        acks = s.acks_received + n
+        if acks > s.packets_sent:
+            raise RuntimeError(f"more acks than sends on link {i}->{j}")
+        if n:
+            s.acks_received = acks
 
     def record_latency(self, i: int, j: int, value: float, n: int = 1) -> None:
         """``n`` latency samples ``value`` on the link i->j."""
-        self.record_trail((i, j), value, n)
-
-    def record_trail(self, trail: Sequence[int], value: float, n: int = 1) -> None:
-        """``n`` latency samples ``value`` on each link of ``trail``. The
-        trail is kept, not copied, so the caller leaves it unchanged until
-        the next ``commit``."""
-        if not value >= 0:
-            raise ValueError("latency samples must be non-negative")
         if n < 1:
             raise ValueError("a latency record holds at least one sample")
-        self._pending.append((_LATENCY, trail, n, value))
+        self.record_trail((i, j), value)
+        s = self._links[(i, j)]
+        s.latency_count += n - 1
+        for _ in range(n - 1):
+            s.latency_sum += value
 
-    def commit(self) -> None:
-        """Apply the buffered evidence in the order it was recorded."""
-        links, senders, timed = self._links, self.senders, self.timed
-        for kind, i, j, value in self._pending:
-            if kind == _LATENCY:
-                trail, n = i, j
-                for i, j in pairwise(trail):
-                    s = links.get((i, j))
-                    if s is None:
-                        s = links[(i, j)] = LinkStats()
-                    if not s.latency_count:
-                        insort(timed.setdefault(i, []), j)
-                    s.latency_count += n
-                    if n == 1:
-                        s.latency_sum += value
-                    else:
-                        for _ in range(n):
-                            s.latency_sum += value
-                continue
+    def record_trail(self, trail: Sequence[int], value: float) -> None:
+        """One latency sample ``value`` on each link of ``trail``."""
+        if not value >= 0:
+            raise ValueError("latency samples must be non-negative")
+        links, timed = self._links, self.timed
+        for i, j in pairwise(trail):
             s = links.get((i, j))
             if s is None:
                 s = links[(i, j)] = LinkStats()
-            if kind == _SEND:
-                if not s.packets_sent:
-                    senders.setdefault(j, []).append(i)
-                s.packets_sent += value
-            else:
-                s.acks_received += value
-                if s.acks_received > s.packets_sent:
-                    raise RuntimeError(f"more acks than sends on link {i}->{j}")
-        self._pending = []
+            if not s.latency_count:
+                insort(timed.setdefault(i, []), j)
+            s.latency_count += 1
+            s.latency_sum += value
 
 
 def trust_weights(a1: float, a2: float, a3: float) -> tuple[float, float, float, float]:
@@ -187,8 +160,8 @@ def blend(ne: float, ptr: float, pl: float,
 class TrustReads:
     """Every trust value and verdict of one simulation, read on demand.
 
-    ``stats`` is the committed evidence. ``take`` commits the cycle's
-    evidence and replaces the snapshot that every read sees until the next
+    ``stats`` is the evidence, recorded only just before a ``take``.
+    ``take`` replaces the snapshot that every read sees until the next
     ``take``: ``levels`` and ``energies``, indexed by endpoint id with the
     sink last, a node without a level at the sentinel of
     ``routing.level_form``. Before the first, every node holds the sentinel
@@ -218,9 +191,8 @@ class TrustReads:
         self._verdicts: dict[int, bool] = {}
 
     def take(self, levels: Sequence, energies: Sequence[float]) -> None:
-        """Commit the buffered evidence and read from ``levels`` and
-        ``energies`` until the next call; both are kept, not copied."""
-        self.stats.commit()
+        """Read from ``levels`` and ``energies`` until the next call; both
+        are kept, not copied."""
         self.levels, self.energies = levels, energies
         self._groups = {}
         self._verdicts = {}
@@ -245,8 +217,8 @@ class TrustReads:
         return group
 
     def latency_score(self, i: int, j: int, s: LinkStats) -> float:
-        """Latency score of j in i's row; ``s`` is the committed record of
-        the link (i, j), which holds latency evidence.
+        """Latency score of j in i's row; ``s`` is the record of the link
+        (i, j), which holds latency evidence.
 
         The link's mean latency is compared against the mean of the others
         on j's level: their level group's sum with its own term taken back
@@ -277,8 +249,8 @@ class TrustReads:
         return pl if pl < 1.0 else 1.0
 
     def _metrics(self, i: int, j: int) -> tuple[LinkStats, float, float]:
-        """The committed record of the link (i, j), read straight from the
-        link dict, and its energy and transmission metrics ``ne``, ``ptr``."""
+        """The record of the link (i, j), read straight from the link
+        dict, and its energy and transmission metrics ``ne``, ``ptr``."""
         s = self.stats._links.get((i, j), _NO_EVIDENCE)
         energies = self.energies
         ne = ((energies[i] + energies[j]) / 2.0) / self.e_init

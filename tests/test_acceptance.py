@@ -2,10 +2,11 @@
 
 Each criterion runs at its stated tolerance and prints one pass/fail line
 (visible under ``pytest -s`` or on failure). The lifetime-ordering
-experiment is shared between criteria through a session fixture and uses
-the shipped configs/lifetime_experiment.json scenario; the same runs are
-checked against two committed goldens, the summary JSON and the sha256 of
-every replicate's per-cycle CSV.
+experiment is shared between criteria through a session fixture: it runs
+the shipped configs/lifetime_experiment.json scenario through
+``run_experiment``, the user path, and the files it writes are checked
+against two committed goldens, the summary JSON and the sha256 of every
+replicate's per-cycle CSV.
 
 Run this module as a script to record lifetime goldens that do not exist
 yet; existing files are never overwritten.
@@ -16,16 +17,17 @@ import json
 import math
 import os
 import random
+import tempfile
 import time
+from dataclasses import replace
 
 import pytest
 
-from tcaco.cli import build_parser, load_experiment
+from tcaco.cli import build_parser, load_experiment, run_experiment
 from tcaco.config import FaultSpec, SimConfig
 from tcaco.congestion import FlowHistory
 from tcaco.engine import MILESTONE_PERCENTAGES, run_simulation
-from tcaco.output import (lower_median, per_cycle_csv_text, replicate_record,
-                          summary_json_text)
+from tcaco.output import per_cycle_csv_text
 from tcaco.routing import PheromoneTable, transition_probabilities, trust_congestion_metric
 from tcaco.trust import blend, trust_weights
 
@@ -179,7 +181,6 @@ def lifetime_spec():
 
 
 def test_criterion_4_conservation_suite():
-    from dataclasses import replace
     spec = lifetime_spec()
     cfg = replace(spec.config, max_cycles=200)
     metrics = run_simulation(cfg, protocol="tc_aco", seed=1)
@@ -230,43 +231,37 @@ def test_criterion_5_malicious_isolation():
            f"runtimes {tc_time:.1f}s/{da_time:.1f}s")
 
 
-def run_lifetime():
-    """Every protocol's replicates of the shipped experiment, run serially."""
+def write_lifetime(out_dir):
+    """Run the shipped experiment through ``run_experiment`` into ``out_dir``,
+    one worker per available CPU up to the job count; return its spec and
+    the seconds it took."""
     spec = lifetime_spec()
+    jobs = len(spec.protocols) * len(spec.seeds)
+    spec = replace(spec, out_dir=str(out_dir),
+                   workers=min(len(os.sched_getaffinity(0)), jobs))
     start = time.perf_counter()
-    results = {}
-    for protocol in spec.protocols:
-        results[protocol] = [
-            run_simulation(spec.config, protocol=protocol, seed=seed)
-            for seed in spec.seeds
-        ]
-    elapsed = time.perf_counter() - start
-    return results, elapsed
+    assert run_experiment(spec) == 0
+    return spec, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def lifetime_results():
-    return run_lifetime()
+def lifetime_results(tmp_path_factory):
+    """The output directory of the shipped experiment, its spec and its run
+    time."""
+    out_dir = tmp_path_factory.mktemp("lifetime")
+    return (out_dir, *write_lifetime(out_dir))
 
 
-def csv_digests(results):
-    """``[{protocol, seed, sha256}]`` of each replicate's per-cycle CSV, in run order."""
-    return [{"protocol": protocol, "seed": m.seed,
-             "sha256": hashlib.sha256(per_cycle_csv_text(m).encode("utf-8")).hexdigest()}
-            for protocol, runs in results.items() for m in runs]
-
-
-def summary_text(results):
-    """summary.json of the lifetime runs ``results``, rendered as the CLI does."""
-    records = {protocol: [replicate_record(m) for m in runs]
-               for protocol, runs in results.items()}
-    return summary_json_text(records, lifetime_spec().config.node_count)
-
-
-def lifetime_golden_texts(results):
-    """Golden path -> its text for the lifetime runs ``results``."""
-    return {LIFETIME_SUMMARY: summary_text(results),
-            LIFETIME_CSV_SHA256: json.dumps(csv_digests(results), indent=1) + "\n"}
+def written_digests(out_dir, spec):
+    """``[{protocol, seed, sha256}]`` of each per-cycle CSV ``run_experiment``
+    wrote to ``out_dir``, in job order."""
+    digests = []
+    for protocol in spec.protocols:
+        for k, seed in enumerate(spec.seeds):
+            with open(os.path.join(out_dir, f"{protocol}_rep{k}.csv"), "rb") as fh:
+                digests.append({"protocol": protocol, "seed": seed,
+                                "sha256": hashlib.sha256(fh.read()).hexdigest()})
+    return digests
 
 
 def read_text(path):
@@ -275,13 +270,13 @@ def read_text(path):
 
 
 def test_lifetime_summary_matches_golden(lifetime_results):
-    results, _ = lifetime_results
-    assert summary_text(results) == read_text(LIFETIME_SUMMARY)
+    out_dir, _, _ = lifetime_results
+    assert read_text(os.path.join(out_dir, "summary.json")) == read_text(LIFETIME_SUMMARY)
 
 
 def test_lifetime_csv_digests_match_golden(lifetime_results):
-    results, _ = lifetime_results
-    assert csv_digests(results) == json.loads(read_text(LIFETIME_CSV_SHA256))
+    out_dir, spec, _ = lifetime_results
+    assert written_digests(out_dir, spec) == json.loads(read_text(LIFETIME_CSV_SHA256))
 
 
 def test_golden_p60_is_reached_exactly_by_the_dead_fraction_stops():
@@ -301,25 +296,29 @@ def test_golden_p60_is_reached_exactly_by_the_dead_fraction_stops():
     assert stops
 
 
-def milestone_grid(results):
+def written_summary(lifetime_results):
+    out_dir, _, _ = lifetime_results
+    return json.loads(read_text(os.path.join(out_dir, "summary.json")))["protocols"]
+
+
+def milestone_grid(summary):
     lines = ["protocol        " + "".join(f"{f'{p}%':>8}" for p in MILESTONE_PERCENTAGES)]
-    for protocol, runs in results.items():
-        meds = [lower_median([m.milestones[p] for m in runs])
-                for p in MILESTONE_PERCENTAGES]
-        cells = "".join(f"{'-' if v is None else v:>8}" for v in meds)
+    for protocol, block in summary.items():
+        meds = block["median_milestones"]
+        cells = "".join(f"{'-' if meds[f'p{p}'] is None else meds[f'p{p}']:>8}"
+                        for p in MILESTONE_PERCENTAGES)
         lines.append(f"{protocol:<16}{cells}")
     return "\n".join(lines)
 
 
 def test_criterion_6_lifetime_ordering(lifetime_results):
-    results, elapsed = lifetime_results
-    med = {
-        protocol: lower_median([m.milestones[30] for m in runs])
-        for protocol, runs in results.items()
-    }
+    _, _, elapsed = lifetime_results
+    summary = written_summary(lifetime_results)
+    med = {protocol: block["median_milestones"]["p30"]
+           for protocol, block in summary.items()}
     print("\nmedian rounds per dead-node percentage "
-          f"({len(results['tc_aco'])} replicates):")
-    print(milestone_grid(results))
+          f"({len(summary['tc_aco']['replicates'])} replicates):")
+    print(milestone_grid(summary))
     ok = (
         med["tc_aco"] is not None
         and med["naive_minhop"] is not None
@@ -338,12 +337,12 @@ def test_criterion_6_lifetime_ordering(lifetime_results):
 
 
 def test_criterion_7_milestone_monotonicity(lifetime_results):
-    results, _ = lifetime_results
+    summary = written_summary(lifetime_results)
+    keys = [f"p{p}" for p in MILESTONE_PERCENTAGES]
     bad = 0
-    for protocol, runs in results.items():
-        rows = [[m.milestones[p] for p in MILESTONE_PERCENTAGES] for m in runs]
-        rows.append([lower_median([m.milestones[p] for m in runs])
-                     for p in MILESTONE_PERCENTAGES])
+    for block in summary.values():
+        rows = [[rep["milestones"][key] for key in keys] for rep in block["replicates"]]
+        rows.append([block["median_milestones"][key] for key in keys])
         for row in rows:
             reached = [v for v in row if v is not None]
             if reached != sorted(reached):
@@ -358,8 +357,8 @@ def test_criterion_7_milestone_monotonicity(lifetime_results):
                     bad += 1
                     break
     report(7, "milestone monotonicity", bad == 0,
-           f"{sum(len(r) + 1 for r in results.values())} milestone rows checked, "
-           f"{bad} violations")
+           f"{sum(len(b['replicates']) + 1 for b in summary.values())} milestone rows "
+           f"checked, {bad} violations")
 
 
 GOLDEN_CFG = SimConfig(
@@ -404,8 +403,11 @@ def record_missing() -> None:
                if not os.path.exists(path)]
     if not missing:
         return
-    results, _ = run_lifetime()
-    texts = lifetime_golden_texts(results)
+    with tempfile.TemporaryDirectory() as out_dir:
+        spec, _ = write_lifetime(out_dir)
+        texts = {LIFETIME_SUMMARY: read_text(os.path.join(out_dir, "summary.json")),
+                 LIFETIME_CSV_SHA256: json.dumps(written_digests(out_dir, spec),
+                                                 indent=1) + "\n"}
     for path in missing:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(texts[path])

@@ -21,7 +21,7 @@ from tcaco.config import SimConfig
 from tcaco.congestion import FlowHistory
 from tcaco.energy import debit
 from tcaco.routing import roulette_wheel, select_next_hop
-from tcaco.trust import TrustReads
+from tcaco.trust import TrustReads, TrustStats
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tcaco"
 
@@ -64,20 +64,35 @@ def test_hot_paths_call_no_builtin_min_or_max(path, qualname):
         "18 ns for `x if x > 0.0 else 0.0`; write the clamp as that comparison")
 
 
+def record_refs(node):
+    """``(name, line)`` of every reference to a ``TrustStats.record_*``
+    method under ``node``, called or not."""
+    names = {name for name in vars(TrustStats) if name.startswith("record_")}
+    return {(name, n.lineno) for n in ast.walk(node)
+            if (name := getattr(n, "attr", getattr(n, "id", None))) in names}
+
+
 def test_transmit_records_no_sends_acks_or_receive_costs():
-    """A transfer costs one ledger increment in ``_forward_from``: sends,
-    acks and lost transfers reach the trust evidence as per-link counts at
-    step 8, the receive costs are worked out once per simulation and the
-    transmit costs once per used link."""
-    banned = {"record_send", "record_ack", "record_latency", "rx_cost", "tx_cost"}
+    """A transfer costs one ledger increment in ``_forward_from``: the
+    cycle's evidence reaches ``TrustStats`` only at step 8, when
+    ``_recompute_trust`` records the cycle's ledger, the receive costs are
+    worked out once per simulation and the transmit costs once per used
+    link."""
+    banned = {"rx_cost", "tx_cost"}
     calls = [(name, n.lineno) for n in ast.walk(function_node("engine.py",
                                                               "Simulation._transmit"))
              if isinstance(n, ast.Call)
              and (name := getattr(n.func, "attr", getattr(n.func, "id", None))) in banned]
     assert not calls, (
-        f"Simulation._transmit calls {calls}: it runs per transfer; count the "
-        "transfer in the cycle's ledger and read the radio costs worked out "
-        "in Simulation.__init__ and at a link's first use")
+        f"Simulation._transmit calls {calls}: it runs per transfer; read the "
+        "radio costs worked out in Simulation.__init__ and at a link's first use")
+    engine = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    step_8 = record_refs(function_node("engine.py", "Simulation._recompute_trust"))
+    assert step_8
+    outside = sorted(record_refs(engine) - step_8)
+    assert not outside, (
+        f"engine.py records trust evidence outside Simulation._recompute_trust: "
+        f"{outside}; add it to the cycle's ledger, which step 8 records")
 
 
 @settings(max_examples=300, deadline=None)

@@ -770,8 +770,8 @@ class TestIncrementalTrust:
         assert node_class(sim)[j] != MALICIOUS_NODE
         sim.stats.record_send(i, j)
         sim.stats.record_ack(i, j)
-        # commit on the snapshot of the end of the cycle; _recompute_trust
-        # would hand the cycle's ledger over a second time
+        # take the snapshot of the end of the cycle again; _recompute_trust
+        # would record the cycle's ledger a second time
         sim.trust.take(sim.trust.levels, sim.trust.energies)
         assert sim.trust.link(i, j) <= cfg.trust_threshold
         assert node_class(sim) == classify(all_trust(sim), sim.stats,

@@ -80,9 +80,8 @@ def test_random_run_keeps_its_invariants(cfg, protocol):
 @given(configs, st.sampled_from(PROTOCOLS))
 def test_evidence_indexes_equal_a_scan_of_the_links(cfg, protocol):
     """After every cycle ``senders[j]`` holds, in any order and once each,
-    the neighbours k whose link k->j has a committed send, and ``timed[i]``
-    holds, in adjacency order, the neighbours j whose link i->j has a
-    committed latency sample."""
+    the neighbours k whose link k->j has a send, and ``timed[i]`` holds, in
+    adjacency order, the neighbours j whose link i->j has a latency sample."""
     try:
         sim = Simulation(cfg, protocol=protocol)
     except DisconnectedNetwork:

@@ -116,7 +116,6 @@ def make_stats(sent=0, acked=0, latencies=(), link=(0, 1)):
         stats.record_ack(i, j)
     for value in latencies:
         stats.record_latency(i, j, value)
-    stats.commit()
     return stats
 
 
@@ -134,9 +133,11 @@ class TestTransmissionRatio:
 
     def test_more_acks_than_sends_rejected(self):
         stats = make_stats(sent=1, acked=1)
-        stats.record_ack(0, 1)      # checked when the evidence is committed
         with pytest.raises(RuntimeError):
-            stats.commit()
+            stats.record_ack(0, 1)
+        assert stats.link(0, 1).acks_received == 1
+        with pytest.raises(RuntimeError):
+            TrustStats().record_ack(0, 1)
 
 
 class TestLatencyScore:
@@ -144,14 +145,12 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, 2.0)
         stats.record_latency(0, 2, 4.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0  # min(1, 4/2)
 
     def test_slower_than_peers(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 8.0)
         stats.record_latency(0, 2, 4.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == pytest.approx(0.5, abs=1e-9)
 
     def test_no_samples_bootstraps_to_one(self):
@@ -161,25 +160,21 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, 0.0)
         stats.record_latency(0, 2, 4.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
 
     def test_literal_polarity_rewards_slow(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 2.0)
         stats.record_latency(0, 2, 4.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, [2], polarity="literal") == pytest.approx(0.5)
         stats2 = TrustStats()
         stats2.record_latency(0, 1, 8.0)
         stats2.record_latency(0, 2, 4.0)
-        stats2.commit()
         assert latency_score(stats2, 0, 1, [2], polarity="literal") == 1.0  # clamped
 
     def test_reference_used_when_no_peer_evidence(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 6.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
         assert latency_score(stats, 0, 1, peers=[2], reference=3.0) == pytest.approx(0.5)
 
@@ -187,19 +182,16 @@ class TestLatencyScore:
         stats = TrustStats()
         stats.record_latency(0, 1, math.inf)
         stats.record_latency(0, 2, 4.0)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 0.0
         # even without peers, with only a reference
         stats2 = TrustStats()
         stats2.record_latency(0, 1, math.inf)
-        stats2.commit()
         assert latency_score(stats2, 0, 1, peers=[], reference=3.0) == 0.0
 
     def test_peer_with_unbounded_latency_makes_finite_look_fast(self):
         stats = TrustStats()
         stats.record_latency(0, 1, 5.0)
         stats.record_latency(0, 2, math.inf)
-        stats.commit()
         assert latency_score(stats, 0, 1, peers=[2]) == 1.0
 
 
@@ -263,7 +255,6 @@ def sent(*links):
     stats = TrustStats()
     for i, j in links:
         stats.record_send(i, j)
-    stats.commit()
     return stats
 
 
@@ -417,24 +408,6 @@ class TestEvidenceRecords:
         assert mean_latency(stats.link(0, 1)) is None
         assert stats._links == {}
 
-    def test_reads_see_only_committed_evidence(self):
-        stats = TrustStats()
-        stats.record_send(0, 1)
-        stats.record_ack(0, 1)
-        stats.record_latency(0, 1, 2.0)
-        assert stats.link(0, 1).packets_sent == 0
-        assert mean_latency(stats.link(0, 1)) is None
-        assert stats._links == {}
-        stats.commit()
-        stats.record_send(0, 1)
-        stats.record_latency(0, 1, 4.0)
-        link = stats.link(0, 1)
-        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (1, 1, 2.0)
-        stats.commit()
-        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (2, 1, 3.0)
-        stats.commit()      # an empty buffer changes nothing
-        assert (link.packets_sent, link.acks_received, mean_latency(link)) == (2, 1, 3.0)
-
     def test_negative_latency_fails_at_record(self):
         # NaN is no sample either: it would make the link's mean NaN for good
         for value in (-1.0, -math.inf, math.nan):
@@ -451,26 +424,25 @@ class TestEvidenceRecords:
         stats.record_latency(0, 1, 1.0)
         with pytest.raises(ValueError):
             stats.record_latency(0, 1, math.nan)
-        stats.commit()
         assert mean_latency(stats.link(0, 1)) == 1.0
 
     @given(st.lists(st.floats(min_value=0.0), max_size=6),
            st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=6),
            st.integers(1, 5), st.data())
-    @example(committed=[], finite=[1e308, 1e308], n=2, data=None)  # the sum overflows
-    @example(committed=[], finite=[], n=3, data=None)
-    def test_counted_unbounded_samples_equal_single_records(self, committed, finite, n,
+    @example(earlier=[], finite=[1e308, 1e308], n=2, data=None)  # the sum overflows
+    @example(earlier=[], finite=[], n=3, data=None)
+    def test_counted_unbounded_samples_equal_single_records(self, earlier, finite, n,
                                                             data):
-        """``n`` unbounded samples handed over as one count give the link,
-        bit for bit, that ``n`` single records give wherever they fall among
-        the commit's finite samples, after earlier commits of any samples."""
+        """``n`` unbounded samples recorded as one count after a cycle's
+        finite samples give the link, bit for bit, what ``n`` single records
+        give wherever they fall among those samples, after earlier samples
+        of any value: the engine may hand its lost transfers over at step 8."""
         places = (data.draw(st.lists(st.integers(0, len(finite)), min_size=n, max_size=n))
                   if data is not None else [0] * n)
         single, counted = TrustStats(), TrustStats()
         for stats in (single, counted):
-            for value in committed:
+            for value in earlier:
                 stats.record_latency(0, 1, value)
-            stats.commit()
         for k in range(len(finite) + 1):
             for _ in range(places.count(k)):
                 single.record_latency(0, 1, math.inf)
@@ -478,12 +450,10 @@ class TestEvidenceRecords:
                 single.record_latency(0, 1, finite[k])
                 counted.record_latency(0, 1, finite[k])
         counted.record_latency(0, 1, math.inf, n)
-        single.commit()
-        counted.commit()
         got, want = counted.link(0, 1), single.link(0, 1)
         assert (got.latency_count, got.latency_sum.hex()) == (want.latency_count,
                                                                want.latency_sum.hex())
-        assert got.latency_count == len(committed) + len(finite) + n
+        assert got.latency_count == len(earlier) + len(finite) + n
         assert counted.timed == single.timed == {0: [1]}
 
     def test_engine_run_stores_only_links_with_evidence(self):
